@@ -3,7 +3,7 @@
 Two constructions cover the simplest solutions: composing two maps in both
 orders (f = u o v, g = v o u, h = u), and the power family f = z^m w(z)^n,
 g = z^m w(z^n), h = z^n.  The certifier evaluates both sides of the
-functional equation on a unit-circle sample in arbitrary precision, so a
+functional equation on a unit-circle sample in extended precision, so a
 valid triple sits at the rounding floor and a corrupted one stands out by
 fifteen orders of magnitude.
 """

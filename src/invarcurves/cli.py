@@ -73,14 +73,14 @@ class RunConfig:
 def _load_json_arg(text):
     """Inline JSON, or @path / bare path to a JSON file."""
     text = text.strip()
-    if text.startswith("@"):
-        return json.loads(Path(text[1:]).read_text())
-    if text.startswith("{") or text.startswith("["):
+    if not text.startswith(("@", "{", "[")) and not Path(text).exists():
+        raise UsageError(f"not JSON and not a file: {text!r}")
+    try:
+        if not text.startswith(("{", "[")):
+            text = Path(text.removeprefix("@")).read_text()
         return json.loads(text)
-    p = Path(text)
-    if p.exists():
-        return json.loads(p.read_text())
-    raise UsageError(f"not JSON and not a file: {text!r}")
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad JSON argument: {exc}")
 
 
 def _map_arg(text):
@@ -118,7 +118,7 @@ class _StageRunner:
     def __call__(self, name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise PreconditionError(f"{self.label}, stage '{name}': {exc}")
 
 
@@ -182,10 +182,7 @@ def cmd_poincare(args):
     cfg = RunConfig.from_args(args)
     f = _map_arg(args.map)
     a = _complex_arg(args.fixed_point)
-    try:
-        F = poincare.solve_coefficients(f, a, order=cfg.order)
-    except ValueError as exc:
-        raise PreconditionError(str(exc))
+    F = poincare.solve_coefficients(f, a, order=cfg.order)
     outdir = cfg.out
     coeffs = {
         "fixed_point": [F.fixed_point.real, F.fixed_point.imag],
@@ -228,10 +225,10 @@ def cmd_lattes(args):
     cfg = RunConfig.from_args(args)
     try:
         lat = elliptic.Lattice.from_json_dict(_load_json_arg(args.lattice))
-        inv = elliptic.invariants_from_lattice(lat)
-        system = lattes.lattes_from_invariants(inv)
-    except ValueError as exc:
-        raise PreconditionError(str(exc))
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"bad lattice JSON: {exc!r}")
+    inv = elliptic.invariants_from_lattice(lat)
+    system = lattes.lattes_from_invariants(inv)
     residual = lattes.verify_lattes(system, n_samples=cfg.samples, seed=cfg.seed)
     outdir = cfg.out
     _write(outdir, "map.json", _dump_json(system.map.to_json_dict()))
@@ -252,7 +249,11 @@ def cmd_semiconj(args):
     tol = cfg.tol or CERTIFY_TOL
     if args.verify:
         f, g, h = (_map_arg(t) for t in args.verify[:3])
-        triple = semiconj.SemiconjTriple(f, g, h, int(args.verify[3]))
+        try:
+            n = int(args.verify[3])
+        except ValueError:
+            raise UsageError(f"iteration count N is not an integer: {args.verify[3]!r}")
+        triple = semiconj.SemiconjTriple(f, g, h, n)
         provenance = "verify"
     elif args.u and args.v:
         triple = semiconj.make_ritt_triple(_map_arg(args.u), _map_arg(args.v))
@@ -375,7 +376,7 @@ def _example_3(args, cfg, outdir):
     example = run("hyperbola system", semiconj.pakovich_example, n,
                   n_samples=max(cfg.samples, 24001))
     jk = [semiconj.verify_joukowski_identity(k) for k in range(1, 9)]
-    hyper = example.hyperbola_residual()
+    hyper = run("hyperbola equation", example.hyperbola_residual)
     # map only the central parameter window: endpoint images leave the trace
     n_tr = len(example.trace)
     idx = np.arange(n_tr // 3, 2 * n_tr // 3, 3)
@@ -423,7 +424,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PreconditionError as exc:
+    except (PreconditionError, ValueError, ArithmeticError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CertificationError as exc:

@@ -16,7 +16,6 @@ import numpy as np
 from .elliptic import reduce_to_fundamental
 from .rational import SpherePoint, embed_points
 
-RESOLUTION_BOUND = 0.35   # max chordal gap between consecutive samples
 CIRCLE_CLASS_TOL = 1e-8   # relative residual below which a trace is a circle/line
 
 
@@ -53,13 +52,6 @@ class CurveTrace:
         if self.infinite[i]:
             return SpherePoint.infinity()
         return SpherePoint(self.values[i])
-
-    def max_gap(self):
-        emb = self.embedded()
-        seg = np.linalg.norm(np.diff(emb, axis=0), axis=1)
-        if self.closed and len(self) > 1:
-            seg = np.append(seg, np.linalg.norm(emb[0] - emb[-1]))
-        return float(np.max(seg)) if len(seg) else 0.0
 
     def to_csv(self):
         lines = ["parameter,re,im,is_infinite"]

@@ -25,6 +25,8 @@ LAURENT_ORDER = 24       # c_2..c_M of wp(z) = z^-2 + sum c_k z^(2k-2)
 ROW_TOL = 1e-16          # relative cutoff for the row resummation
 DEGENERACY_TOL = 1e-12   # |Im(g2/g1)| / scale below this is a degenerate lattice
 
+_INF = complex(math.inf, 0.0)
+
 
 class Lattice:
     """Full period lattice spanned by two non-parallel generators.
@@ -164,31 +166,27 @@ def laurent_coefficients(g2, g3, order=LAURENT_ORDER):
     return c
 
 
-def duplication_value(g2, g3, w):
-    """One step of the duplication map wp(z) -> wp(2z); inf-aware."""
-    if w is None or not (math.isfinite(w.real) and math.isfinite(w.imag)) \
-            or abs(w) > 1e100:
-        return complex(np.inf, 0.0)
-    den = 4.0 * w ** 3 - g2 * w - g3
-    if den == 0:
-        return complex(np.inf, 0.0)
-    num = w ** 4 + 0.5 * g2 * w ** 2 + 2.0 * g3 * w + g2 ** 2 / 16.0
-    return num / den
-
-
 class EllipticInvariants:
     """Lattice with its invariants g2, g3 and the Laurent data of wp."""
 
-    __slots__ = ("lattice", "g2", "g3", "laurent", "base_radius", "_shortest")
+    __slots__ = ("lattice", "g2", "g3", "laurent", "duplication", "base_radius",
+                 "_shortest")
 
     def __init__(self, lattice, g2, g3, laurent=None):
         self.lattice = lattice
         self.g2 = complex(g2)
         self.g3 = complex(g3)
-        if abs(self.discriminant) <= 1e-12 * max(abs(self.g2) ** 3, 1.0):
+        scale = max(abs(self.g2) ** 3, 27.0 * abs(self.g3) ** 2)
+        if abs(self.discriminant) <= 1e-12 * scale:
             raise ValueError("discriminant ~ 0: degenerate invariants")
         self.laurent = laurent if laurent is not None \
             else laurent_coefficients(self.g2, self.g3)
+        # ascending numerator and denominator of the duplication map f with
+        # wp(2z) = f(wp(z)):
+        #   f(w) = (w^4 + (g2/2) w^2 + 2 g3 w + g2^2/16) / (4 w^3 - g2 w - g3)
+        g2, g3 = self.g2, self.g3
+        self.duplication = ((g2 * g2 / 16.0, 2.0 * g3, 0.5 * g2, 0j, 1 + 0j),
+                            (-g3, -g2, 0j, 4 + 0j))
         self._shortest = lattice.shortest_vector_length()
         self.base_radius = self._shortest / 4.0
 
@@ -221,14 +219,28 @@ class EllipticInvariants:
             k += 1
         return z, k
 
+    def _double(self, w):
+        """(f(w), f'(w)) for the duplication map f, by Horner on its
+        coefficients; infinite at the poles of f and past the overflow guard."""
+        if not (math.isfinite(w.real) and math.isfinite(w.imag)) or abs(w) > 1e100:
+            return _INF, _INF
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3) = self.duplication
+        den = ((b3 * w + b2) * w + b1) * w + b0
+        if den == 0:
+            return _INF, _INF
+        num = (((a4 * w + a3) * w + a2) * w + a1) * w + a0
+        dnum = ((4.0 * a4 * w + 3.0 * a3) * w + 2.0 * a2) * w + a1
+        dden = (3.0 * b3 * w + 2.0 * b2) * w + b1
+        return num / den, (dnum * den - num * dden) / (den * den)
+
     def wp(self, z):
         """wp(z) as a complex number (complex inf at lattice points)."""
         zb, k = self._prepare(z)
         if zb is None:
-            return complex(np.inf, 0.0)
+            return _INF
         w, _ = self._series_pair(zb)
         for _ in range(k):
-            w = duplication_value(self.g2, self.g3, w)
+            w, _ = self._double(w)
         return w
 
     def wp_prime(self, z):
@@ -236,27 +248,14 @@ class EllipticInvariants:
         wp'(2z) = f'(wp(z)) * wp'(z) / 2."""
         zb, k = self._prepare(z)
         if zb is None:
-            inf = complex(np.inf, 0.0)
-            return inf, inf
+            return _INF, _INF
         w, wp = self._series_pair(zb)
-        g2, g3 = self.g2, self.g3
         for _ in range(k):
-            if not math.isfinite(w.real) or abs(w) > 1e100:
-                return complex(np.inf, 0.0), complex(np.inf, 0.0)
-            den = 4.0 * w ** 3 - g2 * w - g3
-            if den == 0:
-                return complex(np.inf, 0.0), complex(np.inf, 0.0)
-            num = w ** 4 + 0.5 * g2 * w ** 2 + 2.0 * g3 * w + g2 ** 2 / 16.0
-            dnum = 4.0 * w ** 3 + g2 * w + 2.0 * g3
-            dden = 12.0 * w ** 2 - g2
-            fprime = (dnum * den - num * dden) / (den * den)
+            w, fprime = self._double(w)
+            if w == _INF:
+                return _INF, _INF
             wp = 0.5 * fprime * wp
-            w = num / den
         return w, wp
-
-    def wp_many(self, zs):
-        """Vectorized-interface wp over an iterable of points."""
-        return np.array([self.wp(z) for z in np.asarray(zs, dtype=complex).ravel()])
 
     def to_json_dict(self):
         return {

@@ -25,14 +25,9 @@ class LattesSystem:
 
 
 def lattes_from_invariants(invariants):
-    """Build f with wp(2z) = f(wp(z)) from the classical duplication formula
-
-        f(w) = (w^4 + (g2/2) w^2 + 2 g3 w + g2^2/16) / (4 w^3 - g2 w - g3).
-    """
-    g2, g3 = invariants.g2, invariants.g3
-    num = np.array([g2 ** 2 / 16.0, 2.0 * g3, 0.5 * g2, 0.0, 1.0], dtype=complex)
-    den = np.array([-g3, -g2, 0.0, 4.0], dtype=complex)
-    f = RationalMap(num, den, reduce=False)
+    """The map f with wp(2z) = f(wp(z)), from the duplication coefficients
+    the invariants carry."""
+    f = RationalMap(*invariants.duplication, reduce=False)
     if f.degree != 4:
         raise ValueError("degenerate invariants: duplication map is not degree 4")
     return LattesSystem(invariants, f)

@@ -42,9 +42,6 @@ class PoincareSeries:
     def order(self):
         return len(self.coefficients) - 1
 
-    def series(self):
-        return TruncatedPowerSeries(self.coefficients)
-
     def __repr__(self):
         return (f"PoincareSeries(a={self.fixed_point:.6g}, "
                 f"lambda={self.multiplier:.6g}, order={self.order}, "
@@ -98,10 +95,12 @@ def _radii(c, a_scale):
     tail_mags = np.abs(c[tail_ks])
     rho = 1e6 if len(tail_ks) == 0 else float(1.0 / np.max(tail_mags ** (1.0 / tail_ks)))
     rho = min(rho, 1e6)
-    r_tail = float(np.min((TAIL_TARGET / tail_mags) ** (1.0 / tail_ks))) \
-        if len(tail_ks) else rho
     scale = max(1.0, a_scale)
-    r_cancel = float(np.min((CANCEL_CAP * scale / mags[nz]) ** (1.0 / ks[nz])))
+    # subnormal magnitudes overflow the quotients to inf, a correct bound
+    with np.errstate(over="ignore"):
+        r_tail = float(np.min((TAIL_TARGET / tail_mags) ** (1.0 / tail_ks))) \
+            if len(tail_ks) else rho
+        r_cancel = float(np.min((CANCEL_CAP * scale / mags[nz]) ** (1.0 / ks[nz])))
     return rho, max(min(rho / 2.0, r_tail, r_cancel), 1e-12)
 
 

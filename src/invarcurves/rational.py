@@ -511,26 +511,32 @@ class RationalMap:
 # Module operations
 # ---------------------------------------------------------------------------
 
+def homogeneous_horner(f, p, q):
+    """(q^d num(p/q), q^d den(p/q)) with d = deg f: f applied to the
+    homogeneous value p/q, by Horner in p with running powers of q.
+
+    Only ring operations are used, so p and q may be Polynomials, scalars
+    or arrays of any complex dtype; the output lives where they do.
+    """
+    d = f.degree
+    num = list(f.num.coefficients) + [0j] * (d - f.num.degree)
+    den = list(f.den.coefficients) + [0j] * (d - f.den.degree)
+    qpow = q ** 0   # broadcasts a constant map over the operands' shape
+    pn, qn = num[d] * qpow, den[d] * qpow
+    for k in range(d - 1, -1, -1):
+        qpow = qpow * q
+        pn = pn * p + num[k] * qpow
+        qn = qn * p + den[k] * qpow
+    return pn, qn
+
+
 def compose(f, g, degree_cap=DEGREE_CAP):
     """The composition f(g(z)) as a rational map."""
     if f.degree * g.degree > degree_cap:
         raise DegreeCapExceeded(
             f"composition degree {f.degree * g.degree} exceeds cap {degree_cap}")
-    a, b = g.num, g.den
-    d = f.degree
-    pc = np.zeros(d + 1, dtype=complex)
-    qc = np.zeros(d + 1, dtype=complex)
-    pc[: f.num.degree + 1] = f.num.coefficients
-    qc[: f.den.degree + 1] = f.den.coefficients
-    # sum_k c_k a^k b^(d-k), accumulated Horner-style in a
-    num_acc = Polynomial([pc[d]])
-    den_acc = Polynomial([qc[d]])
-    for k in range(d - 1, -1, -1):
-        bpow = b ** (d - k)
-        num_acc = num_acc * a + pc[k] * bpow
-        den_acc = den_acc * a + qc[k] * bpow
     # composition of coprime maps is coprime; skip the gcd pass
-    return RationalMap(num_acc, den_acc, reduce=False)
+    return RationalMap(*homogeneous_horner(f, g.num, g.den), reduce=False)
 
 
 def iterate(f, n, degree_cap=DEGREE_CAP):
@@ -545,90 +551,44 @@ def iterate(f, n, degree_cap=DEGREE_CAP):
     return out
 
 
-def _circle_values(f, zs):
-    """Values of f on unit-circle points, by extended-precision Horner.
+def chain_identity_residual(left_chain, right_chain, n_points=None):
+    """Identity residual of two composition chains of rational maps.
 
-    Composed maps carry large cancelling coefficients; plain double Horner
-    near a denominator root would swamp the identity tolerance with rounding
-    of the *representation*, not of the map.
+    Both chains (outermost map first) are evaluated on a unit-circle sample
+    by pushing the homogeneous value (p, q) = (z, 1) through each map in
+    extended precision, and compared in the projective form of the chordal
+    metric.  Composed maps carry large cancelling coefficients, and two
+    independently rounded double compositions would bottom out near weak
+    poles far above the certification tolerance.
     """
-    z = np.asarray(zs, dtype=np.clongdouble)
-    p = np.zeros_like(z)
-    for c in f.num.coefficients[::-1]:
-        p = p * z + np.clongdouble(c)
-    q = np.zeros_like(z)
-    for c in f.den.coefficients[::-1]:
-        q = q * z + np.clongdouble(c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.asarray(p / q, dtype=complex)
-    v[np.asarray(q == 0)] = complex(np.inf, 0.0)
-    return v
+    chains = (left_chain, right_chain)
+    deg = max(int(np.prod([f.degree for f in chain]) or 1) for chain in chains)
+    m = n_points or (2 * deg + 5)
+    z = np.exp(2j * np.pi * (np.arange(m) / m + 0.2371)).astype(np.clongdouble)
+    (p1, q1), (p2, q2) = [_chain_values(chain, z) for chain in chains]
+    n1 = np.sqrt(np.abs(p1) ** 2 + np.abs(q1) ** 2)
+    n2 = np.sqrt(np.abs(p2) ** 2 + np.abs(q2) ** 2)
+    if not np.all((n1 > 0) & (n2 > 0) & np.isfinite(n1) & np.isfinite(n2)):
+        raise ArithmeticError("chain evaluation degenerated to 0/0 or overflowed")
+    return float(np.max(2 * np.abs(p1 * q2 - p2 * q1) / (n1 * n2)))
 
 
-def _circle_points(m):
-    return np.exp(2j * np.pi * (np.arange(m) / m + 0.2371))
+def _chain_values(chain, z):
+    """Homogeneous value (p, q) of a chain at z, innermost map first."""
+    p, q = z, np.ones_like(z)
+    for f in reversed(chain):
+        p, q = homogeneous_horner(f, p, q)
+    return p, q
 
 
 def identity_residual(f, g, n_points=None):
     """Max chordal deviation between two maps on a unit-circle sample."""
-    m = n_points or (2 * max(f.degree, g.degree) + 5)
-    zs = _circle_points(m)
-    return float(np.max(chordal_array(_circle_values(f, zs),
-                                      _circle_values(g, zs))))
+    return chain_identity_residual([f], [g], n_points)
 
 
 def maps_equal(f, g, tol=TAU_IDENTITY):
     """Identity test by evaluation at 2*max(deg)+5 unit-circle points."""
-    return identity_residual(f, g) <= tol
-
-
-def chain_identity_residual(left_chain, right_chain, n_points=None, dps=40):
-    """Identity residual of two composition chains of rational maps.
-
-    Both chains (outermost map first) are evaluated on the unit-circle
-    sample by composing the value pairs (numerator, denominator) in
-    arbitrary precision, and compared in the projective form of the chordal
-    metric.  Comparing two independently rounded double compositions instead
-    would bottom out near weak poles far above the certification tolerance.
-    """
-    from mpmath import mp, mpc
-
-    chains = (left_chain, right_chain)
-    deg = max(int(np.prod([f.degree for f in chain]) or 1) for chain in chains)
-    m = n_points or (2 * deg + 5)
-
-    with mp.workdps(dps):
-        def value_pair(chain, z):
-            # innermost first: homogeneous value (p, q) of the chain at z,
-            # f applied to p/q via Horner on [sum c_k p^k q^(d-k)]
-            p, q = z, mpc(1)
-            for f in reversed(chain):
-                d = f.degree
-                num_c = list(f.num.coefficients) + [0] * (d - f.num.degree)
-                den_c = list(f.den.coefficients) + [0] * (d - f.den.degree)
-                qpow = [mpc(1)]
-                for _ in range(d):
-                    qpow.append(qpow[-1] * q)
-                pn = mpc(num_c[d])
-                qn = mpc(den_c[d])
-                for k in range(d - 1, -1, -1):
-                    pn = pn * p + mpc(num_c[k]) * qpow[d - k]
-                    qn = qn * p + mpc(den_c[k]) * qpow[d - k]
-                p, q = pn, qn
-            return p, q
-
-        worst = 0.0
-        for k in range(m):
-            z = mp.expjpi(2 * (mp.mpf(k) / m + mp.mpf("0.2371")))
-            p1, q1 = value_pair(left_chain, z)
-            p2, q2 = value_pair(right_chain, z)
-            n1 = mp.sqrt(abs(p1) ** 2 + abs(q1) ** 2)
-            n2 = mp.sqrt(abs(p2) ** 2 + abs(q2) ** 2)
-            if n1 == 0 or n2 == 0:
-                raise ArithmeticError("chain evaluation degenerated to 0/0")
-            d = 2 * abs(p1 * q2 - p2 * q1) / (n1 * n2)
-            worst = max(worst, float(d))
-        return worst
+    return chain_identity_residual([f], [g]) <= tol
 
 
 def coefficient_residual(f, g):

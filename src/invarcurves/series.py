@@ -13,13 +13,8 @@ class TruncatedPowerSeries:
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients, order=None):
+    def __init__(self, coefficients):
         c = np.atleast_1d(np.asarray(coefficients, dtype=complex)).ravel()
-        if order is not None:
-            if len(c) > order + 1:
-                c = c[: order + 1]
-            elif len(c) < order + 1:
-                c = np.concatenate([c, np.zeros(order + 1 - len(c), dtype=complex)])
         self.coefficients = c.copy()
 
     @property
@@ -29,9 +24,6 @@ class TruncatedPowerSeries:
     def __call__(self, z):
         """Partial-sum evaluation (Horner)."""
         return npoly.polyval(z, self.coefficients)
-
-    def truncated(self, order):
-        return TruncatedPowerSeries(self.coefficients, order=order)
 
     def __add__(self, other):
         if isinstance(other, TruncatedPowerSeries):
@@ -65,9 +57,14 @@ class TruncatedPowerSeries:
     __rmul__ = __mul__
 
     def reciprocal(self):
-        """Series b with a*b = 1 + O(z^(N+1)); needs a nonzero constant term."""
+        """Series b with a*b = 1 + O(z^(N+1)); needs a nonzero constant term.
+
+        Only the constant term decides: the higher coefficients of a series
+        with radius of convergence rho grow like rho^-k, and say nothing
+        about whether 1/a_0 exists.
+        """
         a = self.coefficients
-        if abs(a[0]) <= 1e-15 * max(float(np.max(np.abs(a))), 1.0):
+        if not abs(a[0]) >= np.finfo(float).tiny:
             raise ZeroDivisionError("reciprocal of a series with ~zero constant term")
         n = self.order
         b = np.zeros(n + 1, dtype=complex)

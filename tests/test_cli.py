@@ -71,6 +71,10 @@ class TestLattesCommand:
         bad = json.dumps({"g1": [1.0, 0.0], "g2": [2.0, 0.0]})
         assert run(["lattes", "--lattice", bad, "--out", str(tmp_path / "x")]) == 2
 
+    def test_malformed_lattice_json_is_usage_error(self, tmp_path):
+        code = run(["lattes", "--lattice", '{"g1": [2,0', "--out", str(tmp_path / "x")])
+        assert code == 64
+
 
 class TestSemiconjCommand:
     def test_ritt_pair_certifies(self, tmp_path):
@@ -102,6 +106,16 @@ class TestSemiconjCommand:
     def test_missing_inputs_usage(self, tmp_path):
         assert run(["semiconj", "--out", str(tmp_path / "x")]) == 64
 
+    def test_degree_cap_is_exit_2(self, tmp_path):
+        code = run(["semiconj", "--w", SHIFT_JSON, "--n", "70",
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+
+    def test_non_integer_verify_count_is_usage_error(self, tmp_path):
+        code = run(["semiconj", "--verify", SQUARE_JSON, SQUARE_JSON, SQUARE_JSON,
+                    "abc", "--out", str(tmp_path / "x")])
+        assert code == 64
+
 
 class TestExampleCommand:
     def test_example_1_verdict(self, tmp_path):
@@ -127,6 +141,11 @@ class TestExampleCommand:
         assert run(["example", "3", "--out", str(out)]) == 0
         v = read_json(out / "example3_report.json")["verdict"]
         assert all(v.values())
+
+    def test_example_3_line_image_is_exit_2(self, tmp_path, capsys):
+        code = run(["example", "3", "--hyperbola-n", "4", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "stage 'hyperbola equation'" in capsys.readouterr().err
 
     def test_stage_failure_names_the_stage(self, tmp_path, capsys):
         code = run(["example", "1", "--omega1", "0", "--out", str(tmp_path / "x")])

@@ -43,7 +43,9 @@ class TestCurveTrace:
         assert np.array_equal(back.infinite, tr.infinite)
 
     def test_resolution_gap(self):
-        assert TRACE1.max_gap() < curves.RESOLUTION_BOUND
+        emb = TRACE1.embedded()
+        gaps = np.linalg.norm(np.diff(emb, axis=0, append=emb[:1]), axis=1)
+        assert TRACE1.closed and np.max(gaps) < 0.35
 
     def test_infinite_samples_round_trip_and_embed(self):
         t = np.array([0.0, 1.0, 2.0])

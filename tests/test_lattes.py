@@ -38,6 +38,13 @@ class TestCertification:
             system = lattes_from_lattice(lat)
             assert verify_lattes(system, n_samples=500) <= 1e-8, name
 
+    def test_square_lattice_certifies_at_every_scale(self):
+        # the discriminant test is relative: scaling a lattice by s scales
+        # g2^3 and 27 g3^2 alike by s^-12, so no side is degenerate
+        for side in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
+            system = lattes_from_lattice(Lattice(side, side * 1j))
+            assert verify_lattes(system, n_samples=100) <= 1e-12, side
+
     def test_small_arguments_bypass_doubling(self):
         # with |2z| below the base radius both sides are pure series: this
         # pins the formula itself against the Laurent data

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,25 @@ class TestSolve:
         big = poincare.solve_coefficients(SHIFTED, 2.0, order=40)
         small = poincare.solve_coefficients(SHIFTED, 2.0, order=20)
         assert np.array_equal(big.coefficients[:21], small.coefficients)
+
+    def test_small_radius_of_convergence(self):
+        # a real Moebius conjugate of z^2 whose linearizer has a small radius:
+        # the higher coefficients grow like rho^-k, the series denominator
+        # keeps a healthy constant term
+        f = RationalMap([0.3046875, -0.8203125, 0.669921875],
+                        [1.01171875, -2.48828125, 1.6748046875])
+        rng = np.random.default_rng(3)
+        for order in (30, 60, 120):
+            F = poincare.solve_coefficients(f, 0.7428571428571429, order=order)
+            zs = F.eval_radius * 8 * rng.uniform(0.05, 1.0, 100) \
+                * np.exp(2j * np.pi * rng.uniform(size=100))
+            assert poincare.functional_equation_residual(F, zs) <= 1e-12
+
+    def test_high_order_has_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = poincare.solve_coefficients(SQUARE, 1.0, order=400)
+        assert F.eval_radius > 0
 
     def test_rejects_non_fixed(self):
         with pytest.raises(ValueError, match="fixed"):

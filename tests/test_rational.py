@@ -4,7 +4,8 @@ import pytest
 from invarcurves.rational import (
     DegreeCapExceeded, INFINITY, Polynomial, RationalMap, SpherePoint, chordal,
     classify_multiplier, coefficient_residual, compose, critical_points,
-    fixed_points, identity_residual, iterate, maps_equal, multiplier, poly_roots,
+    fixed_points, homogeneous_horner, identity_residual, iterate, maps_equal,
+    multiplier, poly_roots,
     ATTRACTING, NEUTRAL_IRRATIONAL, NEUTRAL_RATIONAL, REPELLING, SUPERATTRACTING)
 
 from conftest import random_rational_map, random_sphere_points
@@ -81,6 +82,22 @@ class TestCompose:
             h = compose(f, g)
             for z in random_sphere_points(rng, 100):
                 assert chordal(h(z), f(g(z))) <= 1e-10
+
+    def test_horner_same_over_polynomials_and_arrays(self, rng):
+        f = random_rational_map(rng, 3)
+        g = random_rational_map(rng, 2)
+        zs = random_sphere_points(rng, 20)
+        pn, qn = homogeneous_horner(f, g.num, g.den)
+        pa, qa = homogeneous_horner(f, g.num(zs), g.den(zs))
+        scale = np.abs(pa) + np.abs(qa)
+        assert np.max(np.abs(pn(zs) - pa) / scale) <= 1e-12
+        assert np.max(np.abs(qn(zs) - qa) / scale) <= 1e-12
+
+    def test_constant_map_broadcasts(self):
+        zs = np.exp(1j * np.linspace(0, 3, 7))
+        p, q = homogeneous_horner(RationalMap([2]), zs, np.ones_like(zs))
+        assert p.shape == zs.shape and np.allclose(p / q, 2)
+        assert identity_residual(RationalMap([2]), RationalMap([2])) == 0.0
 
 
 class TestIterate:

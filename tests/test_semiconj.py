@@ -11,7 +11,7 @@ from invarcurves.semiconj import (SemiconjTriple, certify_triple, chebyshev,
                                   make_ritt_triple, pakovich_example, power_map,
                                   verify_joukowski_identity)
 
-from conftest import random_rational_map
+from conftest import mp_chain_identity_residual, random_rational_map
 
 
 class TestRittTriple:
@@ -78,6 +78,38 @@ class TestPowerFamily:
         t = make_power_family(w, m=2, n=2)
         assert maps_equal(t.f, RationalMap([1]))     # z^2 * (1/z)^2 = 1
         assert t.residual() <= 1e-12
+
+
+def criterion_8_triples():
+    """The 120 certificates of acceptance criterion 8, drawn the same way."""
+    rng = np.random.default_rng(808)
+    for _ in range(50):
+        u = random_rational_map(rng, int(rng.integers(1, 4)))
+        v = random_rational_map(rng, int(rng.integers(1, 4)))
+        t = make_ritt_triple(u, v)
+        yield t
+        yield SemiconjTriple(f=t.g, g=t.f, h=v, n=1)
+    for _ in range(20):
+        w = random_rational_map(rng, int(rng.integers(1, 4)))
+        yield make_power_family(w, int(rng.integers(0, 3)), int(rng.integers(1, 4)))
+
+
+class TestCertifyOracle:
+    def test_matches_mpmath_on_criterion_8(self):
+        count = 0
+        for t in criterion_8_triples():
+            oracle = mp_chain_identity_residual([t.h, t.g], [t.f] * t.n + [t.h])
+            assert abs(certify_triple(t) - oracle) <= 1e-15
+            count += 1
+        assert count == 120
+
+    def test_perturbed_triple_matches_oracle(self):
+        t = make_ritt_triple(RationalMap([0, 0, 1]), RationalMap([1, 1]))
+        h = RationalMap([0, 0, 1 + 1e-6])
+        bad = SemiconjTriple(f=t.f, g=t.g, h=h, n=1)
+        oracle = mp_chain_identity_residual([h, t.g], [t.f, h])
+        assert oracle > 1e-7
+        assert abs(certify_triple(bad) - oracle) <= 1e-15 * max(1.0, oracle)
 
 
 class TestDegenerateN0:
