@@ -214,14 +214,7 @@ def invariance_residual(f, trace, sample_indices=None):
         raise ValueError("trace too coarse for an invariance check")
     idx = np.arange(len(trace)) if sample_indices is None \
         else np.asarray(sample_indices)
-    pts = trace.values[idx]
-    inf_mask = trace.infinite[idx]
-    images = np.empty(len(idx), dtype=complex)
-    fin = ~inf_mask
-    images[fin] = f.eval_array(pts[fin])
-    if np.any(inf_mask):
-        w = f(SpherePoint.infinity())
-        images[inf_mask] = complex(np.inf, 0) if w.is_infinite else w.value
+    images = f.eval_array(np.where(trace.infinite[idx], np.inf, trace.values[idx]))
     emb = embed_points(images)
     return float(np.max(points_to_polyline_distance(emb, trace)))
 

@@ -13,14 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curves import CurveTrace, points_to_polyline_distance, segment_pair_distance
-from .rational import (TAU_CLASS, REPELLING, SpherePoint, chordal, embed_points,
-                       fixed_points, multiplier)
+from .curves import (CurveTrace, _segments, points_to_polyline_distance,
+                     segment_pair_distance)
+from .rational import (_HUGE, TAU_CLASS, REPELLING, SpherePoint, chordal,
+                       chordal_array, embed_points, fixed_points, multiplier)
 from .series import TruncatedPowerSeries, compose_rational
 
 TAIL_TARGET = 1e-13      # per-term series tail at the working radius
 CANCEL_CAP = 10.0        # largest intermediate Horner term, in units of scale
 TAU_CROSS = 1e-6         # chordal threshold for self-crossing detection
+MAX_PULLBACK = 8000      # pull-back steps by 1/lambda before evaluate gives up
+SWEEP_CHUNK = 1 << 16    # candidate segment pairs per chunk of the crossing sweep
 
 
 class PoincareSeries:
@@ -106,29 +109,65 @@ def _radii(c, a_scale):
 
 def evaluate(F, z):
     """F(z) anywhere in C: pull z into the working disc by powers of lambda
-    and climb back with the map itself.  Total (poles land at infinity)."""
-    z = complex(z)
-    if z == 0:
-        return SpherePoint(F.fixed_point)
-    k = 0
-    zz = z
-    while abs(zz) > F.eval_radius and k < 8000:
-        zz /= F.multiplier
-        k += 1
-    w = SpherePoint(complex(npoly.polyval(zz, F.coefficients)))
-    for _ in range(k):
-        w = F.map(w)
-    return w
+    and climb back with the map itself.  Total (poles land at infinity).
+
+    An array gives a complex array with inf at infinity; a scalar gives a
+    SpherePoint.  A point that needs more than MAX_PULLBACK pull-back steps
+    raises ArithmeticError instead of evaluating the series outside
+    eval_radius.
+    """
+    if np.ndim(z) == 0:
+        return SpherePoint(evaluate(F, np.reshape(z, 1))[0])
+    zz = np.array(z, dtype=complex).ravel()
+    # masked pull-back: each point is divided by lambda until it lies in
+    # the disc, so k[i] counts its steps
+    k = np.zeros(len(zz), dtype=int)
+    idx = np.nonzero(np.abs(zz) > F.eval_radius)[0]
+    for _ in range(MAX_PULLBACK):
+        if len(idx) == 0:
+            break
+        zz[idx] = _divide(zz[idx], F.multiplier)
+        k[idx] += 1
+        idx = idx[np.abs(zz[idx]) > F.eval_radius]
+    if len(idx):
+        raise ArithmeticError(
+            f"z = {complex(np.ravel(z)[idx[0]]):.6g} needs more than {MAX_PULLBACK} "
+            f"pull-back steps (|lambda| = {abs(F.multiplier):.6g})")
+    # masked push-forward: order by depth so the points still to be pushed
+    # at step s are a prefix
+    order = np.argsort(-k, kind="stable")
+    depth = k[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = npoly.polyval(zz[order], F.coefficients)
+    w[~(np.abs(w) <= _HUGE)] = np.inf
+    for s in range(1, int(k.max(initial=0)) + 1):
+        m = int(np.searchsorted(-depth, -s, side="right"))
+        w[:m] = F.map.eval_array(w[:m])
+    out = np.empty_like(w)
+    out[order] = w
+    return out.reshape(np.shape(z))
+
+
+def _divide(z, lam):
+    """z / lam for a complex array z, rounded as Python's complex division
+    rounds (Smith's algorithm dividing by the denominator; numpy multiplies
+    by its reciprocal), so that (lam z) / lam gives back z as often."""
+    lr, li = lam.real, lam.imag
+    if abs(lr) >= abs(li):
+        ratio = li / lr
+        denom = lr + li * ratio
+        return (z.real + z.imag * ratio) / denom + 1j * ((z.imag - z.real * ratio) / denom)
+    ratio = lr / li
+    denom = lr * ratio + li
+    return (z.real * ratio + z.imag) / denom + 1j * ((z.imag * ratio - z.real) / denom)
 
 
 def functional_equation_residual(F, zs):
     """Max chordal |f(F(z)) - F(lambda z)| over the given points."""
-    worst = 0.0
-    for z in np.asarray(zs, dtype=complex).ravel():
-        lhs = F.map(evaluate(F, z))
-        rhs = evaluate(F, F.multiplier * z)
-        worst = max(worst, chordal(lhs, rhs))
-    return worst
+    zs = np.asarray(zs, dtype=complex).ravel()
+    values = evaluate(F, np.concatenate([zs, F.multiplier * zs]))
+    lhs = F.map.eval_array(values[: len(zs)])
+    return float(np.max(chordal_array(lhs, values[len(zs):]), initial=0.0))
 
 
 def trace_real_axis(F, t_max, n=1001):
@@ -142,15 +181,8 @@ def trace_real_axis(F, t_max, n=1001):
     if abs(lam.imag) > 1e-9 * max(1.0, abs(lam)):
         raise ValueError("multiplier is not real: F(R) need not be a curve")
     ts = np.linspace(-float(t_max), float(t_max), n)
-    values = np.empty(n, dtype=complex)
-    infinite = np.zeros(n, dtype=bool)
-    for i, t in enumerate(ts):
-        w = evaluate(F, t)
-        if w.is_infinite:
-            infinite[i] = True
-            values[i] = complex(np.inf, 0.0)
-        else:
-            values[i] = w.value
+    values = evaluate(F, ts)
+    infinite = np.isinf(values)
     tag = "poincare-real-axis"
     if lam.real < 0:
         tag += " (invariance certified for the second iterate)"
@@ -178,49 +210,104 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
     tol_cross (chordal) of each other *and* the curve leaves the meeting
     point in between (excursion filter: a trace converging into an endpoint
     clusters without crossing).  Empty list: no crossing at this resolution.
+    A closed trace includes its closing segment and measures parameter
+    separation around the seam.  Candidate pairs come from a sort-and-sweep
+    over segment bounding boxes padded by tol_cross, so the result is that
+    of comparing every pair of segments, in near-linear time on a curve.
     """
     if len(trace) < 2:
         raise ValueError("need at least two samples")
     emb = trace.embedded()
-    a, b = emb[:-1], emb[1:]
-    n_seg = len(a)
+    a, b = _segments(emb, trace.closed)
+    m = min_separation_steps
     params = trace.params
     step = float(np.median(np.diff(params)))
-    min_gap = min_separation_steps * step
-    period = params[-1] - params[0] + step if trace.closed else None
-    candidates = []
-    for i in range(n_seg - min_separation_steps):
-        j0 = i + min_separation_steps
-        # segment j starts at params[j]; require parameter separation
-        # (measured around the seam for a closed trace)
-        js = np.arange(j0, n_seg)
-        gap = params[js] - params[i + 1]
+    min_gap = m * step
+    # segment k runs from ends[k] to ends[k + 1] through path[k], path[k + 1]
+    ends, path, period = params, emb, None
+    if trace.closed:
+        period = params[-1] - params[0] + step
+        ends = np.append(params, params[0] + period)
+        path = np.vstack([emb, emb[:1]])
+    # a few ulps of the unit sphere on top of tol_cross keep every pair whose
+    # rounded distance is <= tol_cross among the candidates
+    pad = tol_cross + 8 * np.finfo(float).eps
+    found = []
+    for i, j in _overlapping_boxes(np.minimum(a, b) - pad, np.maximum(a, b) + pad):
+        keep = j - i >= m
+        i, j = i[keep], j[keep]
+        gap = ends[j] - ends[i + 1]
         if period is not None:
-            gap = np.minimum(gap, period - (params[js + 1] - params[i]))
-        js = js[gap >= min_gap]
-        if len(js) == 0:
-            continue
-        d, p1, _ = segment_pair_distance(a[i][None, :], b[i][None, :], a[js], b[js])
-        hit = np.nonzero(d <= tol_cross)[0]
-        for h in hit:
-            j = int(js[h])
-            seg = emb[i: j + 2]
-            excursion = float(np.max(np.linalg.norm(seg - p1[h], axis=1)))
-            if excursion >= min_excursion:
-                candidates.append((i, j, p1[h], float(d[h])))
+            gap = np.minimum(gap, period - (ends[j + 1] - ends[i]))
+        keep = gap >= min_gap
+        i, j = i[keep], j[keep]
+        d, p1, _ = segment_pair_distance(a[i], b[i], a[j], b[j])
+        near = d <= tol_cross
+        found.append((i[near], j[near], d[near], p1[near]))
+    i, j, d, p1 = (np.concatenate(x) for x in zip(*found))
+    # excursion: does any vertex from i to j + 1 lie min_excursion away?
+    # Nine evenly spaced probes settle most pairs; the rest scan their run.
+    probes = i[:, None] + (j - i + 1)[:, None] * np.arange(9) // 8
+    far = np.any(np.linalg.norm(path[probes] - p1[:, None], axis=2) >= min_excursion, axis=1)
+    rest = np.nonzero(~far)[0]
+    for h, k in _flat_runs(i[rest], j[rest] - i[rest] + 2):
+        hit = np.linalg.norm(path[k] - p1[rest[h]], axis=1) >= min_excursion
+        far[rest[h[hit]]] = True
+    i, j, d = i[far], j[far], d[far]
+    order = np.lexsort((j, i))
+    order = order[np.argsort(d[order], kind="stable")]
+    # greedy suppression by distance: a taken pair (i2, j2) blocks pairs
+    # within m steps in both indices, which lie in neighbouring buckets
+    width = max(m, 1)
+    taken = {}
     crossings = []
-    taken = []
-    for i, j, p, d in sorted(candidates, key=lambda c: c[3]):
-        if any(abs(i - i2) < min_separation_steps and abs(j - j2) < min_separation_steps
-               for i2, j2 in taken):
+    for i, j, d in zip(i[order].tolist(), j[order].tolist(), d[order].tolist()):
+        bi, bj = i // width, j // width
+        if any(abs(i - i2) < m and abs(j - j2) < m
+               for di in (-1, 0, 1) for dj in (-1, 0, 1)
+               for i2, j2 in taken.get((bi + di, bj + dj), ())):
             continue
-        taken.append((i, j))
+        taken.setdefault((bi, bj), []).append((i, j))
         mid = 0.5 * (trace.values[i] + trace.values[i + 1]) \
             if not (trace.infinite[i] or trace.infinite[i + 1]) else trace.values[i]
         crossings.append(Crossing(s=float(params[i]), t=float(params[j]),
                                   point=mid, distance=d))
     crossings.sort(key=lambda c: (c.s, c.t))
     return crossings
+
+
+def _overlapping_boxes(lo, hi):
+    """Index pairs (i < j) of boxes [lo, hi] that overlap on every axis.
+
+    Sort-and-sweep on the axis of largest extent: after sorting by lower
+    bound, the boxes that start inside box p are the run of positions
+    p + 1 .. end - 1, with end found by searchsorted.  Yields index arrays
+    in chunks (see _flat_runs).
+    """
+    n = len(lo)
+    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
+    order = np.argsort(lo[:, axis], kind="stable")
+    lo, hi = lo[order], hi[order]
+    start = np.arange(1, n + 1)
+    run = np.searchsorted(lo[:, axis], hi[:, axis], side="right") - start
+    for p, q in _flat_runs(start, run):
+        keep = np.all((lo[q] <= hi[p]) & (lo[p] <= hi[q]), axis=1)
+        i, j = order[p[keep]], order[q[keep]]
+        yield np.minimum(i, j), np.maximum(i, j)
+
+
+def _flat_runs(starts, lengths):
+    """(owner, index) arrays listing starts[o] .. starts[o] + lengths[o] - 1
+    for consecutive owners o, about SWEEP_CHUNK entries at a time (a single
+    run may exceed it), so memory stays O(len(starts) + SWEEP_CHUNK)."""
+    total = np.concatenate([[0], np.cumsum(lengths)])
+    o0 = 0
+    while o0 < len(lengths):
+        o1 = max(int(np.searchsorted(total, total[o0] + SWEEP_CHUNK, side="right")) - 1,
+                 o0 + 1)
+        owner = np.repeat(np.arange(o0, o1), lengths[o0:o1])
+        yield owner, starts[owner] + np.arange(total[o0], total[o1]) - total[owner]
+        o0 = o1
 
 
 @dataclass

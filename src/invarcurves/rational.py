@@ -426,10 +426,19 @@ class RationalMap:
         return SpherePoint(ratio * (1.0 / w) ** k)
 
     def eval_array(self, z):
-        """Vectorized evaluation on finite complex input; poles become inf."""
+        """Vectorized evaluation on the sphere; total like __call__.
+
+        Input entries that are not finite or exceed _HUGE in modulus are the
+        point at infinity.  Poles, overflow and moduli beyond _HUGE come out
+        as complex(inf, 0); the result never holds nan.
+        """
         z = np.asarray(z, dtype=complex)
         out = np.empty(z.shape, dtype=complex)
-        inner = np.abs(z) <= 1.0
+        mag = np.abs(z)
+        at_inf = ~(mag <= _HUGE)          # nan and inf compare false
+        inner = mag <= 1.0
+        outer = ~(inner | at_inf)
+        k = self.num.degree - self.den.degree
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             zi = z[inner]
             p = npoly.polyval(zi, self.num.coefficients)
@@ -437,14 +446,18 @@ class RationalMap:
             vi = p / q
             vi[q == 0] = complex(np.inf, 0.0)
             out[inner] = vi
-            zo = z[~inner]
+            zo = z[outer]
             w = 1.0 / zo
             pr = npoly.polyval(w, self.num.coefficients[::-1])
             qr = npoly.polyval(w, self.den.coefficients[::-1])
-            k = self.num.degree - self.den.degree
-            vo = (pr / qr) * zo ** k
+            ratio = pr / qr
+            vo = ratio * zo ** k
+            vo[ratio == 0] = 0.0          # 0 * overflowed z^k is 0, not nan
             vo[qr == 0] = complex(np.inf, 0.0)
-            out[~inner] = vo
+            out[outer] = vo
+        lead = self.num.coefficients[-1] / self.den.coefficients[-1]
+        out[at_inf] = np.inf if k > 0 else (0.0 if k < 0 else lead)
+        out[~(np.abs(out) <= _HUGE)] = np.inf
         return out
 
     # -- algebra ------------------------------------------------------------

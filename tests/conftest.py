@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from invarcurves.rational import Polynomial, RationalMap
+
+# property tests draw the same examples on every run; no deadline, since
+# timings on a shared machine are not part of any property
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def random_polynomial(rng, degree):
@@ -78,3 +84,55 @@ def mp_chain_identity_residual(left_chain, right_chain, n_points=None, dps=40):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def quadratic_injectivity_check(trace, tol_cross=1e-6, min_separation_steps=10,
+                                min_excursion=1e-3):
+    """Oracle for poincare.injectivity_check: every segment against every
+    later one, one row at a time, and suppression against every taken pair.
+
+    Same segments (closing segment included for a closed trace), filters and
+    arithmetic per pair, so the crossing lists must be equal, not close.
+    """
+    from invarcurves.curves import _segments, segment_pair_distance
+    from invarcurves.poincare import Crossing
+
+    emb = trace.embedded()
+    a, b = _segments(emb, trace.closed)
+    n_seg = len(a)
+    params = trace.params
+    step = float(np.median(np.diff(params)))
+    min_gap = min_separation_steps * step
+    ends, path, period = params, emb, None
+    if trace.closed:
+        period = params[-1] - params[0] + step
+        ends = np.append(params, params[0] + period)
+        path = np.vstack([emb, emb[:1]])
+    candidates = []
+    for i in range(n_seg - min_separation_steps):
+        js = np.arange(i + min_separation_steps, n_seg)
+        gap = ends[js] - ends[i + 1]
+        if period is not None:
+            gap = np.minimum(gap, period - (ends[js + 1] - ends[i]))
+        js = js[gap >= min_gap]
+        if len(js) == 0:
+            continue
+        d, p1, _ = segment_pair_distance(a[i][None, :], b[i][None, :], a[js], b[js])
+        for h in np.nonzero(d <= tol_cross)[0]:
+            j = int(js[h])
+            excursion = float(np.max(np.linalg.norm(path[i: j + 2] - p1[h], axis=1)))
+            if excursion >= min_excursion:
+                candidates.append((i, j, float(d[h])))
+    crossings = []
+    taken = []
+    for i, j, d in sorted(candidates, key=lambda c: c[2]):
+        if any(abs(i - i2) < min_separation_steps and abs(j - j2) < min_separation_steps
+               for i2, j2 in taken):
+            continue
+        taken.append((i, j))
+        mid = 0.5 * (trace.values[i] + trace.values[i + 1]) \
+            if not (trace.infinite[i] or trace.infinite[i + 1]) else trace.values[i]
+        crossings.append(Crossing(s=float(params[i]), t=float(params[j]),
+                                  point=mid, distance=d))
+    crossings.sort(key=lambda c: (c.s, c.t))
+    return crossings

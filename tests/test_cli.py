@@ -48,6 +48,14 @@ class TestPoincareCommand:
                     "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_near_neutral_multiplier_is_exit_2(self, tmp_path):
+        # multiplier 1.001: tracing to |t| = 10 needs more pull-back steps
+        # than evaluate allows, which must not end in a silent trace of inf
+        near_neutral = json.dumps({"num": [[0, 0], [1.001, 0], [-1, 0]], "den": [[1, 0]]})
+        code = run(["poincare", "--map", near_neutral, "--fixed-point=0,0",
+                    "--trace-range", "10", "--samples", "201", "--out", str(tmp_path / "x")])
+        assert code == 2
+
     def test_missing_flag_is_usage_error(self, tmp_path):
         code = run(["poincare", "--map", SQUARE_JSON, "--out", str(tmp_path / "x")])
         assert code == 64

@@ -3,15 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from invarcurves import elliptic, lattes, poincare
 from invarcurves.curves import CurveTrace
 from invarcurves.rational import RationalMap, chordal, fixed_points, REPELLING
 
-from conftest import random_rational_map
+from conftest import quadratic_injectivity_check, random_rational_map
 
 SQUARE = RationalMap([0, 0, 1])          # linearizer at 1 is exp
 SHIFTED = RationalMap([-2, 0, 1])        # linearizer at 2 is 2 cosh(sqrt z)
+NEAR_NEUTRAL = RationalMap([0, 1.001, -1])   # multiplier 1.001 at 0
 
 
 def cosh_oracle(t):
@@ -99,6 +101,46 @@ class TestEvaluate:
         F = poincare.solve_coefficients(SHIFTED, 2.0, order=40)
         for t in np.linspace(-30, 8, 25):
             assert chordal(poincare.evaluate(F, t), cosh_oracle(t)) < 1e-8
+
+    def test_near_neutral_within_pullback_cap(self):
+        # 6 793 pull-back steps, below the cap
+        F = poincare.solve_coefficients(NEAR_NEUTRAL, 0.0)
+        v = poincare.evaluate(F, 0.5)
+        assert abs(v.value - 0.0009980163425301024) <= 1e-13 * 0.000998
+
+    def test_near_neutral_beyond_pullback_cap_raises(self):
+        # F(10) ~ 1e-3, but reaching the working disc takes more than
+        # MAX_PULLBACK steps; the series must not be summed outside it
+        F = poincare.solve_coefficients(NEAR_NEUTRAL, 0.0)
+        with pytest.raises(ArithmeticError, match="pull-back"):
+            poincare.evaluate(F, 10.0)
+        with pytest.raises(ArithmeticError, match="pull-back"):
+            poincare.functional_equation_residual(F, [10, 100, 30j])
+
+
+LINEARIZERS = {
+    "exp": poincare.solve_coefficients(SQUARE, 1.0, order=40),
+    "cosh": poincare.solve_coefficients(SHIFTED, 2.0, order=40),
+    "moebius": poincare.solve_coefficients(
+        RationalMap([0.3046875, -0.8203125, 0.669921875],
+                    [1.01171875, -2.48828125, 1.6748046875]), 0.7428571428571429, order=60),
+}
+complex_points = st.builds(
+    lambda r, th: r * complex(math.cos(th), math.sin(th)),
+    st.floats(0.0, 200.0), st.floats(0.0, 2 * math.pi))
+
+
+class TestArrayEvaluateProperties:
+    @given(name=st.sampled_from(sorted(LINEARIZERS)),
+           zs=st.lists(complex_points, min_size=1, max_size=40))
+    def test_array_agrees_with_scalar(self, name, zs):
+        # one masked call over points of mixed pull-back depth gives what
+        # the scalar evaluation gives point by point
+        F = LINEARIZERS[name]
+        values = poincare.evaluate(F, np.array(zs))
+        assert values.shape == (len(zs),)
+        for z, v in zip(zs, values):
+            assert chordal(v, poincare.evaluate(F, z)) <= 4 * np.finfo(float).eps
 
 
 class TestFunctionalEquationResidual:
@@ -204,6 +246,57 @@ class TestInjectivity:
         th = np.linspace(0, 2 * np.pi, 513)[:-1]
         tr = CurveTrace(th, np.exp(1j * th), closed=True)
         assert poincare.injectivity_check(tr) == []
+
+    @pytest.mark.parametrize("phase", ["node-on-closing-segment", "node-at-sample"])
+    def test_closed_trace_scans_closing_segment(self, phase):
+        # Gerono lemniscate 0.5 (cos t + i sin t cos t): one node, at the
+        # origin, passed at t = pi/2 and t = 3pi/2
+        n = 400
+        h = 2 * np.pi / n
+        t0 = np.pi / 2 + h / 2 if phase == "node-on-closing-segment" else 0.0
+        t = t0 + h * np.arange(n)
+        tr = CurveTrace(t, 0.5 * (np.cos(t) + 1j * np.sin(t) * np.cos(t)), closed=True)
+        crossings = poincare.injectivity_check(tr)
+        assert len(crossings) == 1
+        c = crossings[0]
+        assert abs(c.point) <= h       # midpoint of a segment through the node
+        for u, node in ((c.s, np.pi / 2), (c.t, 3 * np.pi / 2)):
+            assert min(abs(u - node), abs(u - node - np.pi), abs(u - node - 2 * np.pi),
+                       abs(u - node + np.pi)) <= 1.5 * h
+
+
+@st.composite
+def polylines(draw):
+    """Random open or closed polylines with pairs of far-apart vertices
+    planted at chordal distance tol (1 +- 1e-3), some infinite samples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(12, 160))
+    tol = draw(st.sampled_from([1e-6, 1e-4, 1e-2]))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0]))
+    z = np.cumsum(scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = sorted(rng.choice(n, 2, replace=False))
+        target = tol * (1 + rng.choice([-1e-3, 1e-3]))
+        u = np.exp(2j * np.pi * rng.uniform())
+        r = target * (1 + abs(z[i]) ** 2) / 2
+        for _ in range(3):
+            r *= target / chordal(z[i], z[i] + r * u)
+        z[j] = z[i] + r * u
+    z[rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.05]))] = np.inf
+    params = np.cumsum(rng.uniform(0.5, 1.5, n))
+    return (CurveTrace(params, z, closed=draw(st.booleans())), tol,
+            draw(st.sampled_from([1, 3, 10])))
+
+
+class TestScanMatchesQuadraticOracle:
+    @given(case=polylines(), chunk=st.sampled_from([1, 7, 1 << 16]))
+    def test_same_crossing_list(self, case, chunk):
+        trace, tol, m = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poincare, "SWEEP_CHUNK", chunk)
+            got = poincare.injectivity_check(trace, tol_cross=tol, min_separation_steps=m)
+        assert got == quadratic_injectivity_check(trace, tol_cross=tol,
+                                                  min_separation_steps=m)
 
 
 class TestMultiplierRealness:

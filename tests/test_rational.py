@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from invarcurves.rational import (
     DegreeCapExceeded, INFINITY, Polynomial, RationalMap, SpherePoint, chordal,
@@ -49,6 +50,33 @@ class TestEval:
         arr = f.eval_array(zs)
         for z, v in zip(zs, arr):
             assert chordal(v, f(z)) < 1e-9  # SpherePoint coerces complex inf
+
+
+@st.composite
+def maps_with_exact_poles(draw):
+    """Maps whose poles are dyadic (so Horner hits q = 0 exactly inside the
+    unit disc), with the poles and sample points on both charts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    poles = rng.integers(-12, 13, size=draw(st.integers(0, 3))) / 8.0
+    num_deg = draw(st.integers(0, 4))
+    num = rng.normal(size=num_deg + 1) + 1j * rng.normal(size=num_deg + 1)
+    f = RationalMap(num, Polynomial.from_roots(poles) if len(poles) else [1.0])
+    special = [np.inf, complex(np.inf, np.inf), 1e200, 1e-200, 0.0]
+    zs = np.concatenate([poles, special, random_sphere_points(rng, 20),
+                         1e8 * random_sphere_points(rng, 5)]).astype(complex)
+    return f, zs
+
+
+class TestEvalArraySphere:
+    @given(case=maps_with_exact_poles())
+    def test_agrees_with_scalar_on_the_sphere(self, case):
+        # infinity, exact poles and |z| > 1 included; poles, overflow and
+        # moduli beyond _HUGE come out as inf, never nan
+        f, zs = case
+        values = f.eval_array(zs)
+        assert not np.any(np.isnan(values))
+        for z, v in zip(zs, values):
+            assert chordal(v, f(z)) <= 16 * np.finfo(float).eps
 
 
 class TestCompose:
