@@ -126,7 +126,7 @@ def evaluate(F, z):
     for _ in range(MAX_PULLBACK):
         if len(idx) == 0:
             break
-        zz[idx] = _divide(zz[idx], F.multiplier)
+        zz[idx] /= F.multiplier
         k[idx] += 1
         idx = idx[np.abs(zz[idx]) > F.eval_radius]
     if len(idx):
@@ -146,20 +146,6 @@ def evaluate(F, z):
     out = np.empty_like(w)
     out[order] = w
     return out.reshape(np.shape(z))
-
-
-def _divide(z, lam):
-    """z / lam for a complex array z, rounded as Python's complex division
-    rounds (Smith's algorithm dividing by the denominator; numpy multiplies
-    by its reciprocal), so that (lam z) / lam gives back z as often."""
-    lr, li = lam.real, lam.imag
-    if abs(lr) >= abs(li):
-        ratio = li / lr
-        denom = lr + li * ratio
-        return (z.real + z.imag * ratio) / denom + 1j * ((z.imag - z.real * ratio) / denom)
-    ratio = lr / li
-    denom = lr * ratio + li
-    return (z.real * ratio + z.imag) / denom + 1j * ((z.imag * ratio - z.real) / denom)
 
 
 def functional_equation_residual(F, zs):
@@ -229,6 +215,7 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
         period = params[-1] - params[0] + step
         ends = np.append(params, params[0] + period)
         path = np.vstack([emb, emb[:1]])
+    coords = path.T.copy()
     # a few ulps of the unit sphere on top of tol_cross keep every pair whose
     # rounded distance is <= tol_cross among the candidates
     pad = tol_cross + 8 * np.finfo(float).eps
@@ -243,17 +230,16 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
         i, j = i[keep], j[keep]
         d, p1, _ = segment_pair_distance(a[i], b[i], a[j], b[j])
         near = d <= tol_cross
-        found.append((i[near], j[near], d[near], p1[near]))
-    i, j, d, p1 = (np.concatenate(x) for x in zip(*found))
-    # excursion: does any vertex from i to j + 1 lie min_excursion away?
-    # Nine evenly spaced probes settle most pairs; the rest scan their run.
-    probes = i[:, None] + (j - i + 1)[:, None] * np.arange(9) // 8
-    far = np.any(np.linalg.norm(path[probes] - p1[:, None], axis=2) >= min_excursion, axis=1)
-    rest = np.nonzero(~far)[0]
-    for h, k in _flat_runs(i[rest], j[rest] - i[rest] + 2):
-        hit = np.linalg.norm(path[k] - p1[rest[h]], axis=1) >= min_excursion
-        far[rest[h[hit]]] = True
-    i, j, d = i[far], j[far], d[far]
+        i, j, d, p1 = i[near], j[near], d[near], p1[near]
+        # excursion: does any vertex from i to j + 1 lie min_excursion away?
+        # The norm is spelled out over coordinate columns: np.linalg.norm
+        # rounds it the same way but reduces over rows of three slowly.
+        far = np.zeros(len(i), dtype=bool)
+        for h, k in _flat_runs(i, j - i + 2):
+            dx, dy, dz = (c[k] - c1[h] for c, c1 in zip(coords, p1.T))
+            far[h[np.sqrt((dx * dx + dy * dy) + dz * dz) >= min_excursion]] = True
+        found.append((i[far], j[far], d[far]))
+    i, j, d = (np.concatenate(x) for x in zip(*found))
     order = np.lexsort((j, i))
     order = order[np.argsort(d[order], kind="stable")]
     # greedy suppression by distance: a taken pair (i2, j2) blocks pairs

@@ -86,6 +86,54 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+def scalar_evaluate(F, z, nudge=None):
+    """Oracle for poincare.evaluate: one point at a time, each pull-back step
+    a Python complex division and each push-forward step RationalMap.__call__.
+    Returns the value and the number k of pull-back steps.
+
+    Raises ArithmeticError where poincare.evaluate does: beyond MAX_PULLBACK
+    pull-back steps, instead of evaluating the series outside eval_radius.
+    nudge = (s, eta) multiplies the series argument (s = -1), or the value
+    after s push-forward steps (0 <= s <= k), by 1 + eta.
+    """
+    from numpy.polynomial import polynomial as npoly
+
+    from invarcurves.poincare import MAX_PULLBACK
+    from invarcurves.rational import SpherePoint
+
+    s_nudge, eta = nudge or (None, 0.0)
+    z = complex(z)
+    k = 0
+    while abs(z) > F.eval_radius:
+        if k == MAX_PULLBACK:
+            raise ArithmeticError("needs more than MAX_PULLBACK pull-back steps")
+        z /= F.multiplier
+        k += 1
+    if s_nudge == -1:
+        z *= 1 + eta
+    w = SpherePoint(complex(npoly.polyval(z, F.coefficients)))
+    for s in range(k + 1):
+        if s == s_nudge and not w.is_infinite:
+            w = SpherePoint(w.value * (1 + eta))
+        if s < k:
+            w = F.map(w)
+    return w, k
+
+
+def evaluate_rounding_bound(F, z, ulps=8, eta=1e-8):
+    """Chordal bound on how far two evaluations of F(z) that round apart by
+    up to `ulps` at each step (argument, series value, every push-forward
+    step) can land: each step's share is amplified by the chain after it,
+    measured by nudging that step by a relative eta in the oracle."""
+    from invarcurves.rational import chordal
+
+    w, k = scalar_evaluate(F, z)
+    amp = [chordal(scalar_evaluate(F, z, (s, eta))[0], w) / eta for s in range(-1, k + 1)]
+    # the argument collects one rounding per pull-back step
+    weights = [k + 1] + [1] * (k + 1)
+    return ulps * np.finfo(float).eps * sum(c * max(1.0, a) for c, a in zip(weights, amp))
+
+
 def quadratic_injectivity_check(trace, tol_cross=1e-6, min_separation_steps=10,
                                 min_excursion=1e-3):
     """Oracle for poincare.injectivity_check: every segment against every

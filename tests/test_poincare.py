@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from invarcurves import elliptic, lattes, poincare
 from invarcurves.curves import CurveTrace
 from invarcurves.rational import RationalMap, chordal, fixed_points, REPELLING
 
-from conftest import quadratic_injectivity_check, random_rational_map
+from conftest import (evaluate_rounding_bound, quadratic_injectivity_check,
+                      random_rational_map, scalar_evaluate)
 
 SQUARE = RationalMap([0, 0, 1])          # linearizer at 1 is exp
 SHIFTED = RationalMap([-2, 0, 1])        # linearizer at 2 is 2 cosh(sqrt z)
@@ -124,6 +126,8 @@ LINEARIZERS = {
     "moebius": poincare.solve_coefficients(
         RationalMap([0.3046875, -0.8203125, 0.669921875],
                     [1.01171875, -2.48828125, 1.6748046875]), 0.7428571428571429, order=60),
+    # multiplier 3.3: pull-back divisions round
+    "cubic": poincare.solve_coefficients(RationalMap([0, 3.3, 0, -1]), 0.0, order=60),
 }
 complex_points = st.builds(
     lambda r, th: r * complex(math.cos(th), math.sin(th)),
@@ -141,6 +145,17 @@ class TestArrayEvaluateProperties:
         assert values.shape == (len(zs),)
         for z, v in zip(zs, values):
             assert chordal(v, poincare.evaluate(F, z)) <= 4 * np.finfo(float).eps
+
+    @given(name=st.sampled_from(sorted(LINEARIZERS)),
+           zs=st.lists(complex_points, min_size=1, max_size=10))
+    def test_agrees_with_scalar_loop(self, name, zs):
+        # the masked pull-back/push-forward against the per-point loop of
+        # Python divisions and RationalMap.__call__ steps: the two round
+        # apart by a few ulps a step, which the repelling chain amplifies
+        F = LINEARIZERS[name]
+        values = poincare.evaluate(F, np.array(zs))
+        for z, v in zip(zs, values):
+            assert chordal(v, scalar_evaluate(F, z)[0]) <= evaluate_rounding_bound(F, z)
 
 
 class TestFunctionalEquationResidual:
@@ -297,6 +312,35 @@ class TestScanMatchesQuadraticOracle:
             got = poincare.injectivity_check(trace, tol_cross=tol, min_separation_steps=m)
         assert got == quadratic_injectivity_check(trace, tol_cross=tol,
                                                   min_separation_steps=m)
+
+    def test_excursion_through_infinity(self):
+        # the curve jumps between 0 and infinity, so its excursions lie in
+        # the third sphere coordinate alone
+        values = np.zeros(40, dtype=complex)
+        values[15:25] = np.inf
+        trace = CurveTrace(np.arange(40.0), values)
+        got = poincare.injectivity_check(trace)
+        assert got and got == quadratic_injectivity_check(trace)
+
+    def test_long_runs_at_one_point(self):
+        # exp over [-1000, 1000]: a third of the samples overflow to infinity
+        # and a third lie within 1e-150 of 0, so every two segments inside
+        # one run are 0 apart, ~1.7e4 near pairs, none of them a crossing
+        F = poincare.solve_coefficients(SQUARE, 1.0, order=40)
+        trace = poincare.trace_real_axis(F, 1000.0, 401)
+        assert trace.infinite.sum() == 131
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poincare, "SWEEP_CHUNK", 2048)
+            tracemalloc.start()
+            try:
+                got = poincare.injectivity_check(trace)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert got == quadratic_injectivity_check(trace) == []
+        # memory O(n + chunk): the near pairs are filtered chunk by chunk;
+        # collecting them all first peaks at 27 MB here
+        assert peak < 8e6
 
 
 class TestMultiplierRealness:
