@@ -17,6 +17,7 @@ from .elliptic import reduce_to_fundamental
 from .rational import SpherePoint, embed_points
 
 CIRCLE_CLASS_TOL = 1e-8   # relative residual below which a trace is a circle/line
+SWEEP_CHUNK = 1 << 16     # (owner, index) entries per chunk of a sort-and-sweep
 
 
 class CurveTrace:
@@ -92,50 +93,37 @@ def _segments(emb, closed):
 def points_to_polyline_distance(points_emb, trace):
     """Min euclidean (= chordal) distance from each point to the polyline.
 
-    Small problems are done densely; large ones go through a KD-tree on the
-    polyline vertices (exact: a segment can only beat the nearest-vertex
-    bound if one of its endpoints lies within bound + segment length).
+    Exact: every segment that can attain a point's minimum is measured.
+    Segments are sorted by the lower end of their bounding box on the axis
+    of largest extent.  A point's distance r to the 8 segment starts nearest
+    in that order bounds its minimum, so only segments whose boxes come
+    within r of it can attain the minimum; on the sort axis they form one
+    run, found by searchsorted and padded by the longest box extent.
     """
-    points_emb = np.atleast_2d(points_emb)
-    emb = trace.embedded()
-    a, b = _segments(emb, trace.closed)
-    d = b - a
+    p = np.atleast_2d(points_emb)
+    a, b = _segments(trace.embedded(), trace.closed)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
+    order = np.argsort(lo[:, axis], kind="stable")
+    a, lo, hi = a[order], lo[order], hi[order]
+    d = b[order] - a
     dd = np.einsum("ij,ij->i", d, d)
     dd[dd == 0] = 1.0
-    if len(points_emb) * len(a) <= 2_000_000:
-        out = np.empty(len(points_emb))
-        chunk = 256
-        for lo in range(0, len(points_emb), chunk):
-            p = points_emb[lo:lo + chunk]
-            ap = p[:, None, :] - a[None, :, :]
-            t = np.clip(np.einsum("pij,ij->pi", ap, d) / dd, 0.0, 1.0)
-            closest = a[None, :, :] + t[:, :, None] * d[None, :, :]
-            dist = np.linalg.norm(p[:, None, :] - closest, axis=2)
-            out[lo:lo + chunk] = dist.min(axis=1)
-        return out
-
-    from scipy.spatial import cKDTree
-
-    n_seg = len(a)
-    seg_len = np.sqrt(np.einsum("ij,ij->i", d, d))
-    slack = float(seg_len.max())
-    tree = cKDTree(emb)
-    bound, _ = tree.query(points_emb)
-    out = np.empty(len(points_emb))
-    for i, p in enumerate(points_emb):
-        cand = tree.query_ball_point(p, bound[i] + slack + 1e-12)
-        segs = set()
-        for j in cand:
-            if j < n_seg:
-                segs.add(j)
-            jm = (j - 1) % len(emb) if trace.closed else j - 1
-            if 0 <= jm < n_seg:
-                segs.add(jm)
-        idx = np.fromiter(segs, dtype=int)
-        ap = p[None, :] - a[idx]
-        t = np.clip(np.einsum("ij,ij->i", ap, d[idx]) / dd[idx], 0.0, 1.0)
-        closest = a[idx] + t[:, None] * d[idx]
-        out[i] = np.min(np.linalg.norm(p[None, :] - closest, axis=1))
+    key, x = lo[:, axis], p[:, axis]
+    near = np.clip(np.searchsorted(key, x)[:, None] + np.arange(-4, 4), 0, len(a) - 1)
+    # computed distances on the unit sphere round within a few eps, so this
+    # pad keeps every segment whose rounded distance can equal the minimum
+    r = np.linalg.norm(p[:, None, :] - a[near], axis=2).min(axis=1) \
+        + 32 * np.finfo(float).eps
+    start = np.searchsorted(key, x - r - (hi[:, axis] - key).max())
+    stop = np.searchsorted(key, x + r, side="right")
+    out = np.full(len(p), np.inf)
+    for o, s in _flat_runs(start, stop - start):
+        keep = np.all((lo[s] <= p[o] + r[o, None]) & (p[o] - r[o, None] <= hi[s]), axis=1)
+        o, s = o[keep], s[keep]
+        ap = p[o] - a[s]
+        t = np.clip(np.einsum("ij,ij->i", ap, d[s]) / dd[s], 0.0, 1.0)
+        np.minimum.at(out, o, np.linalg.norm(p[o] - (a[s] + t[:, None] * d[s]), axis=1))
     return out
 
 
@@ -161,6 +149,40 @@ def segment_pair_distance(a1, b1, a2, b2):
     p1 = a1 + s[..., None] * d1
     p2 = a2 + t[..., None] * d2
     return np.linalg.norm(p1 - p2, axis=-1), p1, p2
+
+
+def _overlapping_boxes(lo, hi):
+    """Index pairs (i < j) of boxes [lo, hi] that overlap on every axis.
+
+    Sort-and-sweep on the axis of largest extent: after sorting by lower
+    bound, the boxes that start inside box p are the run of positions
+    p + 1 .. end - 1, with end found by searchsorted.  Yields index arrays
+    in chunks (see _flat_runs).
+    """
+    n = len(lo)
+    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
+    order = np.argsort(lo[:, axis], kind="stable")
+    lo, hi = lo[order], hi[order]
+    start = np.arange(1, n + 1)
+    run = np.searchsorted(lo[:, axis], hi[:, axis], side="right") - start
+    for p, q in _flat_runs(start, run):
+        keep = np.all((lo[q] <= hi[p]) & (lo[p] <= hi[q]), axis=1)
+        i, j = order[p[keep]], order[q[keep]]
+        yield np.minimum(i, j), np.maximum(i, j)
+
+
+def _flat_runs(starts, lengths):
+    """(owner, index) arrays listing starts[o] .. starts[o] + lengths[o] - 1
+    for consecutive owners o, about SWEEP_CHUNK entries at a time (a single
+    run may exceed it), so memory stays O(len(starts) + SWEEP_CHUNK)."""
+    total = np.concatenate([[0], np.cumsum(lengths)])
+    o0 = 0
+    while o0 < len(lengths):
+        o1 = max(int(np.searchsorted(total, total[o0] + SWEEP_CHUNK, side="right")) - 1,
+                 o0 + 1)
+        owner = np.repeat(np.arange(o0, o1), lengths[o0:o1])
+        yield owner, starts[owner] + np.arange(total[o0], total[o1]) - total[owner]
+        o0 = o1
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +262,8 @@ def parametric_wp_invariance_residual(invariants, f, offset, n=256):
 
 @dataclass
 class FitReport:
-    """Implicit-equation fit: unit-norm coefficients and their residual."""
+    """Implicit-equation fit: unit-norm coefficients, in the frame
+    (z - center) / scale, and their residual."""
     degree: int
     smallest_singular_value: float
     residual: float
@@ -250,7 +273,6 @@ class FitReport:
     scale: float = 1.0
     label: str = "algebraic"
     n_excluded: int = 0
-    residual_scale: float = 1.0   # row magnitude the residual is judged against
 
     def to_json_dict(self):
         return {
@@ -277,27 +299,41 @@ def _dedupe_sorted(points, decimals=12):
     return pts[keep]
 
 
+def _normalised(pts):
+    """Center, scale and the samples (x, y) in the frame (z - center) / scale,
+    in which fits and their residuals do not depend on the curve's size."""
+    center = complex(pts.real.mean(), pts.imag.mean())
+    scale = float(max(pts.real.std(), pts.imag.std(), 1e-12))
+    return center, scale, (pts.real - center.real) / scale, (pts.imag - center.imag) / scale
+
+
 def circle_fit(trace):
-    """Least-squares circle/line a(x^2+y^2) + bx + cy + d = 0, unit-norm
-    coefficients from the smallest singular vector."""
+    """Least-squares circle/line a(x^2+y^2) + bx + cy + d = 0.
+
+    The fit and its residual are taken on the normalised samples, so the
+    verdict is the same for the curve scaled by any factor; the unit-norm
+    coefficients are those of the fitted circle in the trace's coordinates.
+    """
     pts = _dedupe_sorted(trace.finite_values)
     if len(pts) < 8:
         raise ValueError("need at least 8 finite samples for a circle fit")
-    x, y = pts.real, pts.imag
+    center, scale, x, y = _normalised(pts)
     rows = np.column_stack([x * x + y * y, x, y, np.ones_like(x)])
     _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    coef = vt[-1]
-    coef = coef / np.linalg.norm(coef)
+    a, b, c, d = coef = vt[-1] / np.linalg.norm(vt[-1])
     residual = float(np.max(np.abs(rows @ coef)))
-    scale = max(1.0, float(np.max(rows[:, 0])))
+    # substitute (x, y) = (z - center) / scale and clear the scale^2
+    cx, cy = center.real, center.imag
+    coef = np.array([a, b * scale - 2 * a * cx, c * scale - 2 * a * cy,
+                     a * (cx * cx + cy * cy) - scale * (b * cx + c * cy) + d * scale * scale])
     return FitReport(degree=2, smallest_singular_value=float(sv[-1]),
-                     residual=residual, coefficients=coef.astype(complex),
-                     exponents=((0, 0),), label="circle-line",
-                     residual_scale=scale)
+                     residual=residual,
+                     coefficients=(coef / np.linalg.norm(coef)).astype(complex),
+                     exponents=((0, 0),), label="circle-line")
 
 
 def is_circle(report):
-    return report.residual <= CIRCLE_CLASS_TOL * report.residual_scale
+    return report.residual <= CIRCLE_CLASS_TOL
 
 
 def _monomial_exponents(d):
@@ -317,10 +353,7 @@ def algebraic_fit(trace, degree):
     if len(pts) < 3 * len(expos):
         raise ValueError(
             f"under-sampled: need >= {3 * len(expos)} samples for degree {degree}")
-    center = complex(pts.real.mean(), pts.imag.mean())
-    scale = float(max(pts.real.std(), pts.imag.std(), 1e-12))
-    xs = (pts.real - center.real) / scale
-    ys = (pts.imag - center.imag) / scale
+    center, scale, xs, ys = _normalised(pts)
     cols = np.column_stack([xs ** i * ys ** j for (i, j) in expos])
     fit_rows = cols[0::2]
     val_rows = cols[1::2]

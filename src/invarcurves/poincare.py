@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curves import (CurveTrace, _segments, points_to_polyline_distance,
-                     segment_pair_distance)
+from .curves import (CurveTrace, _flat_runs, _overlapping_boxes, _segments,
+                     points_to_polyline_distance, segment_pair_distance)
 from .rational import (_HUGE, TAU_CLASS, REPELLING, SpherePoint, chordal,
                        chordal_array, embed_points, fixed_points, multiplier)
 from .series import TruncatedPowerSeries, compose_rational
@@ -23,7 +23,6 @@ TAIL_TARGET = 1e-13      # per-term series tail at the working radius
 CANCEL_CAP = 10.0        # largest intermediate Horner term, in units of scale
 TAU_CROSS = 1e-6         # chordal threshold for self-crossing detection
 MAX_PULLBACK = 8000      # pull-back steps by 1/lambda before evaluate gives up
-SWEEP_CHUNK = 1 << 16    # candidate segment pairs per chunk of the crossing sweep
 
 
 class PoincareSeries:
@@ -200,6 +199,9 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
     separation around the seam.  Candidate pairs come from a sort-and-sweep
     over segment bounding boxes padded by tol_cross, so the result is that
     of comparing every pair of segments, in near-linear time on a curve.
+
+    Only whether the list is empty is stable: where the curve retraces
+    itself, which near-tied pairs survive depends on last-digit rounding.
     """
     if len(trace) < 2:
         raise ValueError("need at least two samples")
@@ -262,40 +264,6 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
     return crossings
 
 
-def _overlapping_boxes(lo, hi):
-    """Index pairs (i < j) of boxes [lo, hi] that overlap on every axis.
-
-    Sort-and-sweep on the axis of largest extent: after sorting by lower
-    bound, the boxes that start inside box p are the run of positions
-    p + 1 .. end - 1, with end found by searchsorted.  Yields index arrays
-    in chunks (see _flat_runs).
-    """
-    n = len(lo)
-    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
-    order = np.argsort(lo[:, axis], kind="stable")
-    lo, hi = lo[order], hi[order]
-    start = np.arange(1, n + 1)
-    run = np.searchsorted(lo[:, axis], hi[:, axis], side="right") - start
-    for p, q in _flat_runs(start, run):
-        keep = np.all((lo[q] <= hi[p]) & (lo[p] <= hi[q]), axis=1)
-        i, j = order[p[keep]], order[q[keep]]
-        yield np.minimum(i, j), np.maximum(i, j)
-
-
-def _flat_runs(starts, lengths):
-    """(owner, index) arrays listing starts[o] .. starts[o] + lengths[o] - 1
-    for consecutive owners o, about SWEEP_CHUNK entries at a time (a single
-    run may exceed it), so memory stays O(len(starts) + SWEEP_CHUNK)."""
-    total = np.concatenate([[0], np.cumsum(lengths)])
-    o0 = 0
-    while o0 < len(lengths):
-        o1 = max(int(np.searchsorted(total, total[o0] + SWEEP_CHUNK, side="right")) - 1,
-                 o0 + 1)
-        owner = np.repeat(np.arange(o0, o1), lengths[o0:o1])
-        yield owner, starts[owner] + np.arange(total[o0], total[o1]) - total[owner]
-        o0 = o1
-
-
 @dataclass
 class MultiplierRealness:
     location: SpherePoint
@@ -324,13 +292,10 @@ def multiplier_real_check(f, trace, max_distance=0.05, tol_imag=1e-8):
     """Check realness of multipliers at repelling fixed points within
     max_distance (chordal) of the trace polyline."""
     report = MultiplierRealnessReport()
-    for info in fixed_points(f):
-        emb = embed_points(
-            np.array([0j if info.location.is_infinite else info.location.value]),
-            np.array([info.location.is_infinite]))
-        dist = float(points_to_polyline_distance(emb, trace)[0])
-        if info.kind != REPELLING:
-            continue
+    repelling = [info for info in fixed_points(f) if info.kind == REPELLING]
+    values = [np.inf if i.location.is_infinite else i.location.value for i in repelling]
+    dists = points_to_polyline_distance(embed_points(np.array(values, dtype=complex)), trace)
+    for info, dist in zip(repelling, dists.tolist()):
         lam = info.multiplier
         entry = MultiplierRealness(info.location, lam, dist,
                                    abs(lam.imag) <= tol_imag * max(1.0, abs(lam)))

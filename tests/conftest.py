@@ -134,6 +134,31 @@ def evaluate_rounding_bound(F, z, ulps=8, eta=1e-8):
     return ulps * np.finfo(float).eps * sum(c * max(1.0, a) for c, a in zip(weights, amp))
 
 
+def dense_polyline_distance(points_emb, trace, chunk=256):
+    """Oracle for curves.points_to_polyline_distance: every point against
+    every segment, `chunk` points at a time.
+
+    Same segments and arithmetic per point-segment pair, so the distances
+    must be equal, not close.
+    """
+    from invarcurves.curves import _segments
+
+    points_emb = np.atleast_2d(points_emb)
+    a, b = _segments(trace.embedded(), trace.closed)
+    d = b - a
+    dd = np.einsum("ij,ij->i", d, d)
+    dd[dd == 0] = 1.0
+    out = np.empty(len(points_emb))
+    for lo in range(0, len(points_emb), chunk):
+        p = points_emb[lo:lo + chunk]
+        ap = p[:, None, :] - a[None, :, :]
+        t = np.clip(np.einsum("pij,ij->pi", ap, d) / dd, 0.0, 1.0)
+        closest = a[None, :, :] + t[:, :, None] * d[None, :, :]
+        dist = np.linalg.norm(p[:, None, :] - closest, axis=2)
+        out[lo:lo + chunk] = dist.min(axis=1)
+    return out
+
+
 def quadratic_injectivity_check(trace, tol_cross=1e-6, min_separation_steps=10,
                                 min_excursion=1e-3):
     """Oracle for poincare.injectivity_check: every segment against every

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from invarcurves import cli
 from invarcurves.rational import RationalMap
@@ -175,3 +179,22 @@ class TestExampleCommand:
         assert names == sorted(p.name for p in outs[1].iterdir())
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestRuntimeDependencies:
+    def test_examples_do_not_import_scipy(self, tmp_path):
+        # numpy is the only runtime dependency; example 3 and example 1 at
+        # 1536 samples run the largest polyline distance queries
+        script = (
+            "import sys\n"
+            "from invarcurves import cli\n"
+            f"assert cli.main(['example', '3', '--out', {str(tmp_path / 'e3')!r}]) == 0\n"
+            f"assert cli.main(['example', '1', '--samples', '1536', "
+            f"'--out', {str(tmp_path / 'e1')!r}]) == 0\n"
+            "print('scipy' in sys.modules)\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"

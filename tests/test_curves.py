@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from invarcurves import curves
 from invarcurves.curves import (CurveTrace, algebraic_fit,
@@ -11,7 +12,10 @@ from invarcurves.curves import (CurveTrace, algebraic_fit,
                                 trace_svg, trace_wp_line, transcendence_scan)
 from invarcurves.elliptic import Lattice, invariants_from_lattice
 from invarcurves.lattes import lattes_from_invariants
-from invarcurves.rational import RationalMap, iterate
+from invarcurves.rational import RationalMap, embed_points, iterate
+from invarcurves.semiconj import pakovich_example
+
+from conftest import dense_polyline_distance
 
 SQUARE = Lattice(2.0, 2j)
 INV1 = invariants_from_lattice(SQUARE)
@@ -118,6 +122,49 @@ class TestInvarianceResidual:
         assert invariance_residual(iterate(sq, 2), circle_trace(n=512)) <= 2e-10
 
 
+@st.composite
+def polyline_queries(draw):
+    """Random open or closed traces, some vertices infinite or repeated
+    (zero-length segments), with points on, within 1e-9 of, and far from
+    the polyline."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 120))
+    z = np.cumsum(draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0]))
+                  * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+    for i in np.nonzero(rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.2])))[0]:
+        z[i] = z[i - 1]
+    z[rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.1]))] = np.inf
+    trace = CurveTrace(np.arange(n, dtype=float), z, closed=draw(st.booleans()))
+    a, b = curves._segments(trace.embedded(), trace.closed)
+    m = draw(st.integers(1, 60))
+    k = rng.integers(len(a), size=m)
+    t = np.clip(rng.uniform(-0.5, 1.5, size=m), 0.0, 1.0)
+    on = a[k] + t[:, None] * (b[k] - a[k])
+    kick = rng.normal(size=(m, 3))
+    near = on + 1e-9 * kick / np.linalg.norm(kick, axis=1)[:, None]
+    far = embed_points(rng.normal(size=m) + 1j * rng.normal(size=m))
+    return np.vstack([on, near, far]), trace
+
+
+class TestPolylineDistance:
+    @given(case=polyline_queries(), chunk=st.sampled_from([1, 7, 1 << 16]))
+    def test_equals_dense_oracle(self, case, chunk):
+        points, trace = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curves, "SWEEP_CHUNK", chunk)
+            got = curves.points_to_polyline_distance(points, trace)
+        assert np.array_equal(got, dense_polyline_distance(points, trace))
+
+    def test_invariance_images_equal_dense_oracle(self):
+        ex = pakovich_example(3, n_samples=2001)
+        idx = np.arange(len(ex.trace) // 3, 2 * len(ex.trace) // 3, 3)
+        for f, trace, sample in ((SYS1.map, TRACE1, TRACE1.values),
+                                 (ex.map, ex.trace, ex.trace.values[idx])):
+            images = embed_points(f.eval_array(sample))
+            assert np.array_equal(curves.points_to_polyline_distance(images, trace),
+                                  dense_polyline_distance(images, trace))
+
+
 class TestCircleFit:
     def test_unit_circle(self):
         report = circle_fit(circle_trace())
@@ -143,6 +190,18 @@ class TestCircleFit:
         r0 = circle_fit(circle_trace()).residual
         r1 = circle_fit(circle_trace(rot=0.7)).residual
         assert abs(r0 - r1) <= 1e-10
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_lattice_scale_does_not_change_verdict_or_residual(self, k):
+        s = 10.0 ** k
+        lat = Lattice(2.0 * s, 2j * s)
+        report = circle_fit(trace_wp_line(invariants_from_lattice(lat), lat.g2 / 3.0, n=256))
+        unscaled = circle_fit(trace_wp_line(INV1, OFFSET1, n=256))
+        assert not is_circle(report)
+        assert report.residual == pytest.approx(unscaled.residual, rel=1e-12)
+        # a circle off the origin stays a circle at every scale
+        th = np.linspace(0, 2 * np.pi, 257)[:-1]
+        assert is_circle(circle_fit(CurveTrace(th, s * (3 + np.exp(1j * th)), closed=True)))
 
 
 class TestAlgebraicFit:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from invarcurves import elliptic, lattes, poincare
+from invarcurves import curves, elliptic, lattes, poincare
 from invarcurves.curves import CurveTrace
 from invarcurves.rational import RationalMap, chordal, fixed_points, REPELLING
 
@@ -308,7 +308,7 @@ class TestScanMatchesQuadraticOracle:
     def test_same_crossing_list(self, case, chunk):
         trace, tol, m = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(poincare, "SWEEP_CHUNK", chunk)
+            patch.setattr(curves, "SWEEP_CHUNK", chunk)
             got = poincare.injectivity_check(trace, tol_cross=tol, min_separation_steps=m)
         assert got == quadratic_injectivity_check(trace, tol_cross=tol,
                                                   min_separation_steps=m)
@@ -330,7 +330,7 @@ class TestScanMatchesQuadraticOracle:
         trace = poincare.trace_real_axis(F, 1000.0, 401)
         assert trace.infinite.sum() == 131
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(poincare, "SWEEP_CHUNK", 2048)
+            patch.setattr(curves, "SWEEP_CHUNK", 2048)
             tracemalloc.start()
             try:
                 got = poincare.injectivity_check(trace)
