@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .elliptic import reduce_to_fundamental
-from .rational import SpherePoint, embed_points
+from .rational import SpherePoint, chordal_array, embed_points
 
 CIRCLE_CLASS_TOL = 1e-8   # relative residual below which a trace is a circle/line
 SWEEP_CHUNK = 1 << 16     # (owner, index) entries per chunk of a sort-and-sweep
@@ -198,7 +198,7 @@ def trace_wp_line(invariants, offset, t_range=None, n=1024, source=None):
     offset = complex(offset)
     lat = invariants.lattice
     rep = reduce_to_fundamental(lat, offset)
-    if abs(rep.imag) <= 1e-12 * max(1.0, abs(lat.g2)):
+    if abs(rep.imag) <= 1e-12 * abs(lat.g2):
         raise ValueError("offset is lattice-equivalent to the real axis: "
                          "the traced line runs through poles or degenerates")
     if t_range is None:
@@ -214,7 +214,7 @@ def trace_wp_line(invariants, offset, t_range=None, n=1024, source=None):
         t0, t1 = t1, t0
     ts = t0 + (t1 - t0) * np.arange(n) / n if closed \
         else np.linspace(t0, t1, n)
-    values = np.array([invariants.wp(t + offset) for t in ts])
+    values = invariants.wp(ts + offset)
     if reverse:
         # same point set, opposite traversal (parameters stay increasing)
         values = values[::-1].copy()
@@ -248,12 +248,9 @@ def parametric_wp_invariance_residual(invariants, f, offset, n=256):
     (2L = -L modulo periods), checked against the wp evaluator directly.
     """
     period = invariants.lattice.g1.real
-    worst = 0.0
-    for t in period * np.arange(n) / n:
-        lhs = f(SpherePoint.of(invariants.wp(t + offset)))
-        rhs = SpherePoint.of(invariants.wp((-2.0 * t) % period + offset))
-        worst = max(worst, float(np.linalg.norm(lhs.embed() - rhs.embed())))
-    return worst
+    t = period * np.arange(n) / n
+    w = invariants.wp(np.concatenate([t + offset, (-2.0 * t) % period + offset]))
+    return float(np.max(chordal_array(f.eval_array(w[:n]), w[n:]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +285,13 @@ class FitReport:
 
 
 def _dedupe_sorted(points, decimals=12):
-    """Canonical sample set: sorted by (re, im), duplicates removed."""
+    """Canonical sample set: sorted by (re, im) in the normalised frame,
+    duplicates there removed, so the set does not depend on the scale."""
     pts = np.asarray(points, dtype=complex)
-    keys = np.round(pts.real, decimals) + 1j * np.round(pts.imag, decimals)
+    if len(pts) == 0:
+        return pts
+    _, _, x, y = _normalised(pts)
+    keys = np.round(x, decimals) + 1j * np.round(y, decimals)
     order = np.lexsort((keys.imag, keys.real))
     pts = pts[order]
     keys = keys[order]
@@ -303,7 +304,7 @@ def _normalised(pts):
     """Center, scale and the samples (x, y) in the frame (z - center) / scale,
     in which fits and their residuals do not depend on the curve's size."""
     center = complex(pts.real.mean(), pts.imag.mean())
-    scale = float(max(pts.real.std(), pts.imag.std(), 1e-12))
+    scale = float(max(pts.real.std(), pts.imag.std())) or 1.0
     return center, scale, (pts.real - center.real) / scale, (pts.imag - center.imag) / scale
 
 
@@ -489,38 +490,25 @@ def example1_xy_check(invariants, offset, n_samples=100, seed=0):
     if abs(lat.g1.imag) > 1e-12 * abs(lat.g1) or abs(lat.g2.real) > 1e-12 * abs(lat.g2):
         raise ValueError("reflection construction needs a rectangular lattice")
     h = complex(offset).imag
-
-    def s(z):
-        return z.conjugate() + 2j * h
-
-    def xy(z):
-        w = invariants.wp(z)
-        wr = invariants.wp(s(z)).conjugate()
-        return (w + wr) / 2.0, (w - wr) / 2j
-
     # on L the reflection fixes z, so X and Y reduce to Re(wp), Im(wp)
-    on_line = 0.0
-    for t in np.linspace(0.05, lat.g1.real * 0.95, 16):
-        z = t + 1j * h
-        x, y = xy(z)
-        w = invariants.wp(z)
-        on_line = max(on_line, abs(x - w.real), abs(y - w.imag))
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        # keep away from the poles so the values stay O(1)
-        z = ((0.1 + 0.8 * rng.uniform()) * lat.g1
-             + (0.1 + 0.8 * rng.uniform()) * lat.g2 / 2.0 + 0.013 + 0.0071j)
-        x0, y0 = xy(z)
-        for g in (lat.g1, lat.g2):
-            x1, y1 = xy(z + g)
-            ref = max(1.0, abs(x0), abs(y0))
-            worst = max(worst, abs(x1 - x0) / ref, abs(y1 - y0) / ref)
-
+    on_line = np.linspace(0.05, lat.g1.real * 0.95, 16) + 1j * h
+    # keep away from the poles so the values stay O(1)
+    u = np.random.default_rng(seed).uniform(size=(n_samples, 2))
+    z0 = ((0.1 + 0.8 * u[:, 0]) * lat.g1 + (0.1 + 0.8 * u[:, 1]) * lat.g2 / 2.0
+          + 0.013 + 0.0071j)
     zr = 0.37 * lat.g1.real  # a real-axis point: off L, Y need not be Im(wp)
-    _, y_off = xy(zr + 0j)
-    return ReflectionXYReport(on_line, worst, y_off)
+    z = np.concatenate([on_line, z0, z0 + lat.g1, z0 + lat.g2, [zr]])
+    # X and Y from wp at z and at its reflection s(z) = conj(z) + 2ih in L
+    w = invariants.wp(np.concatenate([z, z.conjugate() + 2j * h]))
+    w, wr = w[:len(z)], w[len(z):].conjugate()
+    x, y = (w + wr) / 2.0, (w - wr) / 2j
+    n = len(on_line)
+    on_line = float(np.max(np.abs([x[:n] - w[:n].real, y[:n] - w[:n].imag])))
+    # rows: z0, z0 + g1, z0 + g2
+    xs, ys = x[n:-1].reshape(3, n_samples), y[n:-1].reshape(3, n_samples)
+    ref = np.maximum(1.0, np.maximum(np.abs(xs[0]), np.abs(ys[0])))
+    shifts = np.abs(np.concatenate([xs[1:] - xs[0], ys[1:] - ys[0]])) / ref
+    return ReflectionXYReport(on_line, float(np.max(shifts, initial=0.0)), complex(y[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .rational import INFINITY, SpherePoint
+from .rational import _HUGE, SpherePoint
 
 ZETA4 = math.pi ** 4 / 90.0
 ZETA6 = math.pi ** 6 / 945.0
@@ -55,8 +55,8 @@ class Lattice:
                          [self.g1.imag, self.g2.imag]])
 
     def coordinates(self, z):
-        """Real coordinates (x, y) with z = x*g1 + y*g2."""
-        z = complex(z)
+        """Real coordinates (x, y) with z = x*g1 + y*g2, elementwise."""
+        z = np.asarray(z, dtype=complex)
         m = self.basis_matrix()
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         x = (m[1, 1] * z.real - m[0, 1] * z.imag) / det
@@ -95,10 +95,11 @@ class Lattice:
 
 
 def reduce_to_fundamental(lattice, z):
-    """Representative of z in the centered cell (coordinates in [-1/2, 1/2))."""
+    """Representative of z in the centered cell (coordinates in [-1/2, 1/2)),
+    elementwise."""
     x, y = lattice.coordinates(z)
-    x -= math.floor(x + 0.5)
-    y -= math.floor(y + 0.5)
+    x = x - np.floor(x + 0.5)
+    y = y - np.floor(y + 0.5)
     return x * lattice.g1 + y * lattice.g2
 
 
@@ -166,96 +167,117 @@ def laurent_coefficients(g2, g3, order=LAURENT_ORDER):
     return c
 
 
+def _duplication_coefficients(g2, g3):
+    """Ascending numerator and denominator of the duplication map f with
+    wp(2z) = f(wp(z)):
+        f(w) = (w^4 + (g2/2) w^2 + 2 g3 w + g2^2/16) / (4 w^3 - g2 w - g3)"""
+    return ((g2 * g2 / 16.0, 2.0 * g3, 0.5 * g2, 0j, 1 + 0j),
+            (-g3, -g2, 0j, 4 + 0j))
+
+
 class EllipticInvariants:
-    """Lattice with its invariants g2, g3 and the Laurent data of wp."""
+    """Lattice with its invariants g2, g3 and the Laurent data of wp.
+
+    wp is evaluated in the frame Lambda / 2^e, where 2^e is the power of two
+    of the shortest lattice vector (math.frexp): there the invariants, the
+    Laurent data and the duplication map are O(1) whatever the lattice's
+    size, and wp and wp' scale back by 2^-2e and 2^-3e.  Scaling by a power
+    of two is exact, so the frame changes no value that stays finite without
+    it.  `laurent` and `duplication` are the lattice's own coefficients.
+    """
 
     __slots__ = ("lattice", "g2", "g3", "laurent", "duplication", "base_radius",
-                 "_shortest")
+                 "_exponent", "_cell", "_laurent", "_duplication")
 
-    def __init__(self, lattice, g2, g3, laurent=None):
+    def __init__(self, lattice, g2, g3, order=LAURENT_ORDER):
         self.lattice = lattice
         self.g2 = complex(g2)
         self.g3 = complex(g3)
-        scale = max(abs(self.g2) ** 3, 27.0 * abs(self.g3) ** 2)
-        if abs(self.discriminant) <= 1e-12 * scale:
+        shortest = lattice.shortest_vector_length()
+        e = self._exponent = math.frexp(shortest)[1]
+        g2f = self.g2 * math.ldexp(1.0, 4 * e)
+        g3f = self.g3 * math.ldexp(1.0, 6 * e)
+        scale = max(abs(g2f) ** 3, 27.0 * abs(g3f) ** 2)
+        if abs(g2f ** 3 - 27.0 * g3f ** 2) <= 1e-12 * scale:
             raise ValueError("discriminant ~ 0: degenerate invariants")
-        self.laurent = laurent if laurent is not None \
-            else laurent_coefficients(self.g2, self.g3)
-        # ascending numerator and denominator of the duplication map f with
-        # wp(2z) = f(wp(z)):
-        #   f(w) = (w^4 + (g2/2) w^2 + 2 g3 w + g2^2/16) / (4 w^3 - g2 w - g3)
-        g2, g3 = self.g2, self.g3
-        self.duplication = ((g2 * g2 / 16.0, 2.0 * g3, 0.5 * g2, 0j, 1 + 0j),
-                            (-g3, -g2, 0j, 4 + 0j))
-        self._shortest = lattice.shortest_vector_length()
-        self.base_radius = self._shortest / 4.0
-
-    @property
-    def discriminant(self):
-        return self.g2 ** 3 - 27.0 * self.g3 ** 2
+        # the lattice, Laurent data and duplication map of the frame
+        self._cell = Lattice(math.ldexp(1.0, -e) * lattice.g1,
+                             math.ldexp(1.0, -e) * lattice.g2)
+        self._laurent = laurent_coefficients(g2f, g3f, order)
+        self._duplication = _duplication_coefficients(g2f, g3f)
+        with np.errstate(all="ignore"):    # far from side 1 these leave the float range
+            self.laurent = laurent_coefficients(self.g2, self.g3, order)
+        self.duplication = _duplication_coefficients(self.g2, self.g3)
+        self.base_radius = shortest / 4.0
 
     # -- evaluation ---------------------------------------------------------
 
-    def _series_pair(self, z):
-        """(wp, wp') from the Laurent data, valid for |z| <= base_radius."""
-        u = z * z
-        acc = 0j
-        dacc = 0j
-        c = self.laurent
-        for k in range(len(c) - 1, 1, -1):
-            acc = (acc + c[k]) * u
-            dacc = (dacc + (2 * k - 2) * c[k]) * u
-        wp = 1.0 / u + acc
-        wpp = -2.0 / (u * z) + dacc / z
-        return wp, wpp
-
-    def _prepare(self, z):
-        z = reduce_to_fundamental(self.lattice, complex(z))
-        if abs(z) <= 1e-14 * self._shortest:
-            return None, 0
-        k = 0
-        while abs(z) > self.base_radius:
-            z *= 0.5
-            k += 1
-        return z, k
-
-    def _double(self, w):
-        """(f(w), f'(w)) for the duplication map f, by Horner on its
-        coefficients; infinite at the poles of f and past the overflow guard."""
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)) or abs(w) > 1e100:
-            return _INF, _INF
-        (a0, a1, a2, a3, a4), (b0, b1, b2, b3) = self.duplication
-        den = ((b3 * w + b2) * w + b1) * w + b0
-        if den == 0:
-            return _INF, _INF
-        num = (((a4 * w + a3) * w + a2) * w + a1) * w + a0
-        dnum = ((4.0 * a4 * w + 3.0 * a3) * w + 2.0 * a2) * w + a1
-        dden = (3.0 * b3 * w + 2.0 * b2) * w + b1
-        return num / den, (dnum * den - num * dden) / (den * den)
-
     def wp(self, z):
-        """wp(z) as a complex number (complex inf at lattice points)."""
-        zb, k = self._prepare(z)
-        if zb is None:
-            return _INF
-        w, _ = self._series_pair(zb)
-        for _ in range(k):
-            w, _ = self._double(w)
-        return w
+        """wp(z): a complex for a scalar z, a complex array for an array;
+        complex inf at lattice points."""
+        return self._evaluate(z, False)[0]
 
     def wp_prime(self, z):
-        """(wp(z), wp'(z)); the derivative climbs the doubling chain by
-        wp'(2z) = f'(wp(z)) * wp'(z) / 2."""
-        zb, k = self._prepare(z)
-        if zb is None:
-            return _INF, _INF
-        w, wp = self._series_pair(zb)
-        for _ in range(k):
-            w, fprime = self._double(w)
-            if w == _INF:
-                return _INF, _INF
-            wp = 0.5 * fprime * wp
-        return w, wp
+        """(wp(z), wp'(z)), scalars or arrays as for wp; the derivative
+        climbs the doubling chain by wp'(2z) = f'(wp(z)) * wp'(z) / 2."""
+        return self._evaluate(z, True)
+
+    def _evaluate(self, z, derivative):
+        z = np.asarray(z, dtype=complex)
+        out = [v.reshape(z.shape) for v in self._climb(z.ravel(), derivative)]
+        return tuple(complex(v) for v in out) if z.ndim == 0 else tuple(out)
+
+    def _climb(self, z, derivative):
+        """wp (and wp') of a flat array, in the frame: reduce to the centred
+        cell, halve each point into the disc |z| <= shortest/4 where the
+        Laurent series is accurate, then climb back through the duplication
+        map f, each step over the points still climbing.  Lattice points,
+        |w| > 1e100 and the poles of f give complex inf; nan stays nan."""
+        e = self._exponent
+        values = [np.full(len(z), _INF) for _ in range(1 + derivative)]
+        z = reduce_to_fundamental(self._cell, z * math.ldexp(1.0, -e))
+        shortest = math.ldexp(4.0 * self.base_radius, -e)
+        live = np.flatnonzero(np.abs(z) > 1e-14 * shortest)
+        z = z[live]
+        depth = np.zeros(len(z), dtype=int)
+        while True:
+            far = np.abs(z) > shortest / 4.0
+            if not far.any():
+                break
+            z = np.where(far, 0.5 * z, z)   # exact: the same z as halving one by one
+            depth += far
+        # deepest first, so the points still climbing are a prefix
+        order = np.argsort(-depth, kind="stable")
+        z, depth, live = z[order], depth[order], live[order]
+        u = z * z
+        c = self._laurent
+        acc = dacc = 0j
+        for k in range(len(c) - 1, 1, -1):
+            acc = (acc + c[k]) * u
+            if derivative:
+                dacc = (dacc + (2 * k - 2) * c[k]) * u
+        w = 1.0 / u + acc
+        d = -2.0 / (u * z) + dacc / z if derivative else None
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3) = self._duplication
+        with np.errstate(all="ignore"):
+            for step in range(depth.max(initial=0)):
+                n = int(np.count_nonzero(depth > step))
+                x = w[:n]
+                den = ((b3 * x + b2) * x + b1) * x + b0
+                num = (((a4 * x + a3) * x + a2) * x + a1) * x + a0
+                fx = num / den
+                pole = (np.abs(x) > 1e100) | (den == 0) | np.isinf(fx)
+                fx[pole] = _INF
+                if derivative:
+                    dnum = ((4.0 * a4 * x + 3.0 * a3) * x + 2.0 * a2) * x + a1
+                    dden = (3.0 * b3 * x + 2.0 * b2) * x + b1
+                    fp = (dnum * den - num * dden) / (den * den)
+                    d[:n] = np.where(pole, _INF, 0.5 * fp * d[:n])
+                w[:n] = fx
+            for out, v, power in zip(values, (w, d), (-2 * e, -3 * e)):
+                out.real[live] = np.ldexp(v.real, power)
+                out.imag[live] = np.ldexp(v.imag, power)
+        return values
 
     def to_json_dict(self):
         return {
@@ -280,24 +302,25 @@ def invariants_from_lattice(lattice, laurent_order=LAURENT_ORDER):
     if abs(g2.imag) <= 1e-14 * abs(g2) and abs(g3.imag) <= 1e-14 * max(abs(g3), abs(g2)):
         g2 = complex(g2.real, 0.0)
         g3 = complex(g3.real, 0.0)
-    return EllipticInvariants(lattice, g2, g3,
-                              laurent_coefficients(g2, g3, laurent_order))
+    return EllipticInvariants(lattice, g2, g3, laurent_order)
+
+
+def _on_sphere(w):
+    """A SpherePoint for a scalar; for an array, complex inf wherever a
+    SpherePoint would be infinite (not finite, or beyond _HUGE)."""
+    if np.ndim(w) == 0:
+        return SpherePoint(w)
+    return np.where(np.abs(w) <= _HUGE, w, _INF)
 
 
 def wp_eval(invariants, z):
-    """wp(z) as a SpherePoint (total: lattice points go to infinity)."""
-    w = invariants.wp(z)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        return INFINITY
-    return SpherePoint(w)
+    """wp(z) on the sphere (total: lattice points go to infinity)."""
+    return _on_sphere(invariants.wp(z))
 
 
 def wp_prime_eval(invariants, z):
-    """wp'(z) as a SpherePoint."""
-    _, wp = invariants.wp_prime(z)
-    if not (math.isfinite(wp.real) and math.isfinite(wp.imag)):
-        return INFINITY
-    return SpherePoint(wp)
+    """wp'(z) on the sphere, as wp_eval."""
+    return _on_sphere(invariants.wp_prime(z)[1])
 
 
 def square_lattice_with_g2(target_g2):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -209,3 +211,110 @@ def quadratic_injectivity_check(trace, tol_cross=1e-6, min_separation_steps=10,
                                   point=mid, distance=d))
     crossings.sort(key=lambda c: (c.s, c.t))
     return crossings
+
+
+def scalar_wp(inv, z):
+    """Oracle for EllipticInvariants.wp: one point at a time, in scalar
+    arithmetic on the lattice's own Laurent data and duplication map, with
+    no frame (complex inf at lattice points)."""
+    return _scalar_wp_chain(inv, z)[0]
+
+
+def scalar_wp_prime(inv, z):
+    """Oracle for EllipticInvariants.wp_prime: (wp(z), wp'(z)), climbing the
+    derivative by wp'(2z) = f'(wp(z)) wp'(z) / 2."""
+    return _scalar_wp_chain(inv, z, derivative=True)[:2]
+
+
+def _scalar_wp_chain(inv, z, nudge=None, derivative=False):
+    """(wp, wp', k) with k the number of halvings.  nudge = (s, eta)
+    multiplies the series argument (s = -1), the value after s doubling
+    steps (0 <= s <= k), or wp' after s - k - 1 of them, by 1 + eta."""
+    inf = complex(math.inf, 0.0)
+    lat = inv.lattice
+    m = lat.basis_matrix()
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    z = complex(z)
+    x = (m[1, 1] * z.real - m[0, 1] * z.imag) / det
+    y = (-m[1, 0] * z.real + m[0, 0] * z.imag) / det
+    x -= math.floor(x + 0.5)
+    y -= math.floor(y + 0.5)
+    z = x * lat.g1 + y * lat.g2
+    if abs(z) <= 1e-14 * (4.0 * inv.base_radius):
+        return inf, inf, 0
+    k = 0
+    while abs(z) > inv.base_radius:
+        z *= 0.5
+        k += 1
+    s_nudge, eta = nudge or (None, 0.0)
+    if s_nudge == -1:
+        z *= 1 + eta
+    u = z * z
+    acc = dacc = 0j
+    c = inv.laurent
+    for j in range(len(c) - 1, 1, -1):
+        acc = (acc + c[j]) * u
+        dacc = (dacc + (2 * j - 2) * c[j]) * u
+    w = 1.0 / u + acc
+    d = -2.0 / (u * z) + dacc / z
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3) = inv.duplication
+    for s in range(k + 1):
+        if s == s_nudge:
+            w *= 1 + eta
+        if s_nudge is not None and s == s_nudge - k - 1:
+            d *= 1 + eta
+        if s == k:
+            break
+        # the duplication map and its derivative by Horner; infinite at
+        # its poles and past the overflow guard, and infinite from then on
+        if not (math.isfinite(w.real) and math.isfinite(w.imag)) or abs(w) > 1e100:
+            return inf, inf, k
+        den = ((b3 * w + b2) * w + b1) * w + b0
+        if den == 0:
+            return inf, inf, k
+        num = (((a4 * w + a3) * w + a2) * w + a1) * w + a0
+        if derivative:
+            dnum = ((4.0 * a4 * w + 3.0 * a3) * w + 2.0 * a2) * w + a1
+            dden = (3.0 * b3 * w + 2.0 * b2) * w + b1
+            fprime = (dnum * den - num * dden) / (den * den)
+            d = 0.5 * fprime * d
+        w = num / den
+    return w, d, k
+
+
+def wp_rounding_bound(inv, z, ulps=8, eta=1e-8):
+    """Bounds on how far two evaluations of wp(z) and of wp'(z) that round
+    apart by up to `ulps` at each step (series argument, series value,
+    every doubling step, and for wp' every derivative step) can land: each
+    step's share is amplified by the chain after it, measured by nudging
+    that step by a relative eta in the oracle."""
+    w, d, k = _scalar_wp_chain(inv, z, derivative=True)
+    eps = np.finfo(float).eps
+    nudged = [_scalar_wp_chain(inv, z, (s, eta), True) for s in range(-1, 2 * k + 2)]
+    bound_w = sum(max(abs(w), abs(wn - w) / eta) for wn, _, _ in nudged[:k + 2])
+    bound_d = sum(max(abs(d), abs(dn - d) / eta) for _, dn, _ in nudged)
+    return ulps * eps * bound_w, ulps * eps * bound_d
+
+
+def theta_wp(lattice, zs, dps=30):
+    """wp at each of zs from Jacobi theta functions in mpmath at dps digits
+    (DLMF 23.6.2-23.6.5), a different algorithm from the program's halving
+    and duplication.  With a reduced basis (a, b) and nome q = exp(i pi b/a):
+        wp(z) = e1 + (pi/a * t1'(0) t2(v) / (t2(0) t1(v)))^2,  v = pi z / a,
+        e1 = (pi/a)^2 (t2^4 + 2 t4^4) / 3."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    a, b = lattice.reduced_basis()
+    with mp.workdps(dps):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        q = mp.exp(1j * mp.pi * b / a)
+        scale = mp.pi / a
+        t2, t4 = mp.jtheta(2, 0, q), mp.jtheta(4, 0, q)
+        e1 = scale ** 2 * (t2 ** 4 + 2 * t4 ** 4) / 3
+        t1p = mp.jtheta(1, 0, q, 1)
+        out = []
+        for z in zs:
+            v = scale * mpmath.mpc(complex(z))
+            r = scale * t1p * mp.jtheta(2, v, q) / (t2 * mp.jtheta(1, v, q))
+            out.append(complex(e1 + r * r))
+    return np.array(out)

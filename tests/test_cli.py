@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from invarcurves import cli
 from invarcurves.rational import RationalMap
 
@@ -83,6 +85,19 @@ class TestLattesCommand:
         bad = json.dumps({"g1": [1.0, 0.0], "g2": [2.0, 0.0]})
         assert run(["lattes", "--lattice", bad, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-30, -12, -7, 0, 12, 30])
+    def test_square_lattice_certifies_at_every_scale(self, tmp_path, k):
+        side = 10.0 ** k
+        out = tmp_path / "lat"
+        lattice = json.dumps({"g1": [side, 0.0], "g2": [0.0, side]})
+        assert run(["lattes", "--lattice", lattice, "--out", str(out),
+                    "--samples", "200"]) == 0
+        report = read_json(out / "report.json")
+        assert report["certified"]
+        for name in ("report.json", "map.json"):
+            assert "NaN" not in (out / name).read_text()
+
     def test_malformed_lattice_json_is_usage_error(self, tmp_path):
         code = run(["lattes", "--lattice", '{"g1": [2,0', "--out", str(tmp_path / "x")])
         assert code == 64
@@ -147,6 +162,17 @@ class TestExampleCommand:
         assert v["invariant"] and not v["circle"]
         assert v["lattices"] == "INCOMMENSURABLE-UP-TO(1000)"
         assert v["control_passed"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_example_1_verdict_at_every_scale(self, tmp_path):
+        verdicts = {}
+        for k in (0, -12, -8, 6, 12):
+            out = tmp_path / f"e1_{k}"
+            omega = str(10.0 ** k)
+            assert run(["example", "1", "--omega1", omega, "--omega2", omega,
+                        "--out", str(out), "--samples", "600"]) == 0, k
+            verdicts[k] = read_json(out / "example1_report.json")["verdict"]
+        assert all(v == verdicts[0] for v in verdicts.values()), verdicts
 
     def test_example_3_verdict(self, tmp_path):
         out = tmp_path / "e3"

@@ -191,7 +191,7 @@ class TestCircleFit:
         r1 = circle_fit(circle_trace(rot=0.7)).residual
         assert abs(r0 - r1) <= 1e-10
 
-    @pytest.mark.parametrize("k", range(-3, 4))
+    @pytest.mark.parametrize("k", [-12, -8, *range(-3, 4), 6, 12])
     def test_lattice_scale_does_not_change_verdict_or_residual(self, k):
         s = 10.0 ** k
         lat = Lattice(2.0 * s, 2j * s)
@@ -237,6 +237,19 @@ class TestAlgebraicFit:
         for other in (algebraic_fit(shuffled, 4), algebraic_fit(doubled, 4)):
             assert abs(other.smallest_singular_value
                        - base.smallest_singular_value) <= 1e-10
+
+
+class TestDedupe:
+    @given(k=st.integers(-300, 300))
+    def test_power_of_two_scale_keeps_the_sample_set(self, k):
+        # keys live in the normalised frame, so scaling the curve by an
+        # exact factor scales the canonical set and keeps its order
+        pts = np.concatenate([TRACE1.values, TRACE1.values[::7] * (1 + 1e-15)])
+        s = math.ldexp(1.0, k)
+        assert np.array_equal(curves._dedupe_sorted(s * pts), s * curves._dedupe_sorted(pts))
+
+    def test_coincident_points_keep_one(self):
+        assert len(curves._dedupe_sorted(np.full(5, 3.0 + 0.5j))) == 1
 
 
 class TestTranscendenceScan:

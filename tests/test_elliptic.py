@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from invarcurves.elliptic import (
     EllipticInvariants, Lattice, eisenstein_sum_brute, invariants_from_lattice,
     laurent_coefficients, reduce_to_fundamental, square_lattice_with_g2,
     wp_eval, wp_prime_eval)
 from invarcurves.rational import chordal
+
+from conftest import scalar_wp, scalar_wp_prime, theta_wp, wp_rounding_bound
 
 SQUARE = Lattice(2.0, 2j)
 RECT = Lattice(2.0, 2.6j)
@@ -191,3 +194,125 @@ class TestWpPrimeEval:
         assert wp_prime_eval(inv, 0.0).is_infinite
         v = wp_prime_eval(inv, 0.3 + 0.2j)
         assert not v.is_infinite
+
+
+# the shapes of the benchmark's period lattices: <s, s (x + ih)>, x in [0, 1),
+# h in [0.7, 1.6], s in [0.01, 10]; plus one far from reduced
+BENCH_LIKE = {
+    "rect": Lattice(2.0, 2.6j),
+    "skew": Lattice(1.0, 0.37 + 1.1j),
+    "small": Lattice(0.01, 0.0093 + 0.016j),
+    "tall": Lattice(0.3, 0.15 + 0.465j),
+    "flat": Lattice(7.3, 5.913 + 5.256j),
+    "unreduced": Lattice(1.0, 7.0 + 0.9j),
+}
+BENCH_INV = {name: invariants_from_lattice(lat) for name, lat in BENCH_LIKE.items()}
+cell_coordinates = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+class TestArrayKernel:
+    @given(name=st.sampled_from(sorted(BENCH_LIKE)),
+           xys=st.lists(cell_coordinates, min_size=1, max_size=20))
+    def test_agrees_with_scalar_loop(self, name, xys):
+        # numpy and CPython round complex products and quotients apart, so
+        # the two paths agree within the rounding each step can reach, not bit
+        # for bit
+        inv = BENCH_INV[name]
+        zs = np.array([x * inv.lattice.g1 + y * inv.lattice.g2 for x, y in xys])
+        w, d = inv.wp_prime(zs)
+        assert np.array_equal(inv.wp(zs), w)
+        for z, wz, dz in zip(zs, w, d):
+            wo, do = scalar_wp_prime(inv, z)
+            assert math.isfinite(abs(wz)) == math.isfinite(abs(wo))
+            assert math.isfinite(abs(dz)) == math.isfinite(abs(do))
+            if math.isfinite(abs(wo)):
+                bw, bd = wp_rounding_bound(inv, z)
+                assert abs(wz - wo) <= bw
+                assert abs(dz - do) <= bd
+
+    @pytest.mark.parametrize("name", sorted(BENCH_LIKE))
+    def test_infinity_masks_match_at_lattice_points(self, name):
+        inv = BENCH_INV[name]
+        lat = inv.lattice
+        shortest = lat.shortest_vector_length()
+        zs = np.array([m * lat.g1 + n * lat.g2 + t * shortest
+                       for m in range(-2, 3) for n in range(-2, 3)
+                       for t in (0.0, 5e-15, 1e-13j, 1e-3, 0.3)])
+        w, d = inv.wp_prime(zs)
+        oracle = [scalar_wp_prime(inv, z) for z in zs]
+        assert np.array_equal(np.isinf(w), [math.isinf(abs(v)) for v, _ in oracle])
+        assert np.array_equal(np.isinf(d), [math.isinf(abs(v)) for _, v in oracle])
+        assert np.isinf(w).sum() == 25 * 2      # t = 0 and t below 1e-14 |a|
+        assert not np.isnan(w).any()
+
+    def test_scalar_is_one_point_of_the_array(self):
+        inv = BENCH_INV["skew"]
+        zs = random_cell_points(inv.lattice, 20)
+        w, d = inv.wp_prime(zs)
+        for z, wz, dz in zip(zs, w, d):
+            assert type(inv.wp(z)) is complex
+            assert inv.wp(z) == wz and inv.wp_prime(z) == (wz, dz)
+        assert inv.wp(zs.reshape(4, 5)).shape == (4, 5)
+        assert inv.wp(np.array([], dtype=complex)).shape == (0,)
+
+    @given(name=st.sampled_from(sorted(BENCH_LIKE)), k=st.integers(-100, 100),
+           xys=st.lists(cell_coordinates, min_size=1, max_size=10))
+    def test_power_of_two_scaling_is_exact(self, name, k, xys):
+        # wp(2^k z; 2^k L) = 2^-2k wp(z; L): the frame Lambda / 2^e makes
+        # every step the same floating-point operation on both sides
+        inv = BENCH_INV[name]
+        lat = inv.lattice
+        zs = np.array([x * lat.g1 + y * lat.g2 for x, y in xys])
+        s = math.ldexp(1.0, k)
+        scaled = invariants_from_lattice(Lattice(s * lat.g1, s * lat.g2))
+        w, d = inv.wp_prime(zs)
+        w2, d2 = scaled.wp_prime(s * zs)
+        assert np.array_equal(w2.real, np.ldexp(w.real, -2 * k))
+        assert np.array_equal(w2.imag, np.ldexp(w.imag, -2 * k))
+        finite = np.isfinite(d)
+        assert np.array_equal(d2.real[finite], np.ldexp(d.real[finite], -3 * k))
+        assert np.array_equal(d2.imag[finite], np.ldexp(d.imag[finite], -3 * k))
+
+    @given(name=st.sampled_from(sorted(BENCH_LIKE)), log_s=st.floats(-30.0, 30.0),
+           phase=st.floats(0.0, 2 * math.pi))
+    def test_invariants_scale_covariantly(self, name, log_s, phase):
+        # g2(sL) = s^-4 g2(L), g3(sL) = s^-6 g3(L); a weight-6 scale for g3,
+        # which vanishes on the square lattice
+        inv = BENCH_INV[name]
+        s = 10.0 ** log_s * complex(math.cos(phase), math.sin(phase))
+        scaled = invariants_from_lattice(Lattice(s * inv.lattice.g1, s * inv.lattice.g2))
+        g2, g3 = inv.g2 / s ** 4, inv.g3 / s ** 6
+        assert abs(scaled.g2 - g2) <= 1e-13 * abs(g2)
+        assert abs(scaled.g3 - g3) <= 1e-13 * max(abs(g3), abs(g2) ** 1.5)
+
+    @pytest.mark.parametrize("name", sorted(BENCH_LIKE))
+    def test_no_less_accurate_than_the_scalar_loop(self, name):
+        # against 30-digit theta functions: each array value is as close as
+        # the loop's, up to the rounding by which the two may differ
+        inv = BENCH_INV[name]
+        zs = random_cell_points(inv.lattice, 40, seed=11)
+        ref = theta_wp(inv.lattice, zs)
+        w = inv.wp(zs)
+        for z, wz, r in zip(zs, w, ref):
+            wo = scalar_wp(inv, z)
+            assert abs(wz - r) <= abs(wo - r) + wp_rounding_bound(inv, z)[0]
+        assert np.max(np.abs(w - ref) / np.abs(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("side", [1e-30, 1e-12, 1e-7, 1e12, 1e30])
+    def test_accurate_at_every_scale(self, side):
+        # the scalar loop's Laurent data overflow or underflow here; the
+        # frame keeps wp as accurate as at side 1
+        lat = Lattice(side, side * (0.37 + 1.1j))
+        inv = invariants_from_lattice(lat)
+        zs = random_cell_points(lat, 40, seed=12)
+        ref = theta_wp(lat, zs)
+        assert np.max(np.abs(inv.wp(zs) - ref) / np.abs(ref)) <= 1e-13
+
+    def test_sphere_wrappers_on_arrays(self):
+        inv = BENCH_INV["rect"]
+        zs = np.array([0.0, inv.lattice.g1, 0.3 + 0.2j, 1e-80])
+        w, d = inv.wp_prime(zs)
+        on_sphere = wp_eval(inv, zs)
+        assert np.array_equal(np.isinf(on_sphere), [True, True, False, True])
+        assert on_sphere[2] == w[2] and wp_prime_eval(inv, zs)[2] == d[2]
+        assert wp_eval(inv, zs[2]).value == w[2]

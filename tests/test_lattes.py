@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from invarcurves.elliptic import (Lattice, invariants_from_lattice,
                                   square_lattice_with_g2)
@@ -40,10 +41,33 @@ class TestCertification:
 
     def test_square_lattice_certifies_at_every_scale(self):
         # the discriminant test is relative: scaling a lattice by s scales
-        # g2^3 and 27 g3^2 alike by s^-12, so no side is degenerate
-        for side in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
+        # g2^3 and 27 g3^2 alike by s^-12, so no side is degenerate; far
+        # from side 1, g2 ~ side^-4 and the Laurent data ~ side^-48 leave
+        # the float range, but not in the frame Lambda / 2^e
+        for side in (1e-30, 1e-12, 1e-8, 1e-7, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0,
+                     1e3, 1e7, 1e12, 1e30, 1e40):
             system = lattes_from_lattice(Lattice(side, side * 1j))
             assert verify_lattes(system, n_samples=100) <= 1e-12, side
+
+    def test_map_beyond_the_float_range_is_refused(self):
+        # at side 1e-40 the coefficient g2^2/16 of f overflows
+        with pytest.raises(ValueError):
+            lattes_from_lattice(Lattice(1e-40, 1e-40j))
+
+    def test_nan_never_certifies(self):
+        system = lattes_from_lattice(LATTICES["square"])
+
+        class NanAtOnePoint:
+            lattice = system.invariants.lattice
+
+            def wp(self, z):
+                w = system.invariants.wp(z)
+                w[3] = complex(math.nan, 0.0)
+                return w
+
+        assert verify_lattes(system, n_samples=10) <= 1e-12
+        assert verify_lattes(type(system)(NanAtOnePoint(), system.map),
+                             n_samples=10) == math.inf
 
     def test_small_arguments_bypass_doubling(self):
         # with |2z| below the base radius both sides are pure series: this
