@@ -49,11 +49,6 @@ class CurveTrace:
         """Samples embedded on the unit sphere in R^3."""
         return embed_points(self.values, self.infinite)
 
-    def point(self, i):
-        if self.infinite[i]:
-            return SpherePoint.infinity()
-        return SpherePoint(self.values[i])
-
     def to_csv(self):
         lines = ["parameter,re,im,is_infinite"]
         for t, v, isinf in zip(self.params, self.values, self.infinite):
@@ -490,24 +485,28 @@ def example1_xy_check(invariants, offset, n_samples=100, seed=0):
     if abs(lat.g1.imag) > 1e-12 * abs(lat.g1) or abs(lat.g2.real) > 1e-12 * abs(lat.g2):
         raise ValueError("reflection construction needs a rectangular lattice")
     h = complex(offset).imag
+    # samples sit at fixed fractions of the periods, so that scaling the
+    # lattice scales them with it
+    w1 = lat.g1.real
     # on L the reflection fixes z, so X and Y reduce to Re(wp), Im(wp)
-    on_line = np.linspace(0.05, lat.g1.real * 0.95, 16) + 1j * h
-    # keep away from the poles so the values stay O(1)
+    on_line = np.linspace(0.025, 0.95, 16) * w1 + 1j * h
+    # keep away from the poles so the values stay on the wp scale
     u = np.random.default_rng(seed).uniform(size=(n_samples, 2))
     z0 = ((0.1 + 0.8 * u[:, 0]) * lat.g1 + (0.1 + 0.8 * u[:, 1]) * lat.g2 / 2.0
-          + 0.013 + 0.0071j)
-    zr = 0.37 * lat.g1.real  # a real-axis point: off L, Y need not be Im(wp)
+          + (0.0065 + 0.00355j) * w1)
+    zr = 0.37 * w1  # a real-axis point: off L, Y need not be Im(wp)
     z = np.concatenate([on_line, z0, z0 + lat.g1, z0 + lat.g2, [zr]])
     # X and Y from wp at z and at its reflection s(z) = conj(z) + 2ih in L
     w = invariants.wp(np.concatenate([z, z.conjugate() + 2j * h]))
     w, wr = w[:len(z)], w[len(z):].conjugate()
     x, y = (w + wr) / 2.0, (w - wr) / 2j
     n = len(on_line)
-    on_line = float(np.max(np.abs([x[:n] - w[:n].real, y[:n] - w[:n].imag])))
+    # both residuals are relative to one wp scale, that of the samples off L
+    scale = float(np.max(np.abs(w[n:])))
+    on_line = float(np.max(np.abs([x[:n] - w[:n].real, y[:n] - w[:n].imag]))) / scale
     # rows: z0, z0 + g1, z0 + g2
     xs, ys = x[n:-1].reshape(3, n_samples), y[n:-1].reshape(3, n_samples)
-    ref = np.maximum(1.0, np.maximum(np.abs(xs[0]), np.abs(ys[0])))
-    shifts = np.abs(np.concatenate([xs[1:] - xs[0], ys[1:] - ys[0]])) / ref
+    shifts = np.abs(np.concatenate([xs[1:] - xs[0], ys[1:] - ys[0]])) / scale
     return ReflectionXYReport(on_line, float(np.max(shifts, initial=0.0)), complex(y[-1]))
 
 

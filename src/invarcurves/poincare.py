@@ -162,10 +162,14 @@ def trace_real_axis(F, t_max, n=1001):
     lambda^2 > 1 (the series is the same), so the trace is tagged with the
     iterate that certifies invariance of the image.
     """
+    # the span 2 t_max of the parameters must be a finite float
+    t_max, t_cap = float(t_max), np.finfo(float).max / 2
+    if not 0.0 < t_max <= t_cap:
+        raise ValueError(f"trace range must lie in (0, {t_cap:.6g}], got {t_max!r}")
     lam = F.multiplier
     if abs(lam.imag) > 1e-9 * max(1.0, abs(lam)):
         raise ValueError("multiplier is not real: F(R) need not be a curve")
-    ts = np.linspace(-float(t_max), float(t_max), n)
+    ts = np.linspace(-t_max, t_max, n)
     values = evaluate(F, ts)
     infinite = np.isinf(values)
     tag = "poincare-real-axis"
@@ -293,7 +297,7 @@ def multiplier_real_check(f, trace, max_distance=0.05, tol_imag=1e-8):
     max_distance (chordal) of the trace polyline."""
     report = MultiplierRealnessReport()
     repelling = [info for info in fixed_points(f) if info.kind == REPELLING]
-    values = [np.inf if i.location.is_infinite else i.location.value for i in repelling]
+    values = [complex(i.location) for i in repelling]
     dists = points_to_polyline_distance(embed_points(np.array(values, dtype=complex)), trace)
     for info, dist in zip(repelling, dists.tolist()):
         lam = info.multiplier

@@ -71,12 +71,9 @@ class SpherePoint:
         """Coerce a complex number or SpherePoint to a SpherePoint."""
         return z if isinstance(z, SpherePoint) else cls(z)
 
-    def embed(self):
-        """Coordinates on the unit sphere in R^3 (chordal = euclidean there)."""
-        if self.is_infinite:
-            return np.array([0.0, 0.0, 1.0])
-        n = abs(self.value) ** 2
-        return np.array([2 * self.value.real, 2 * self.value.imag, n - 1.0]) / (n + 1.0)
+    def __complex__(self):
+        """The value, or complex inf: the array kernels' point at infinity."""
+        return complex(math.inf, 0.0) if self.is_infinite else self.value
 
     def __repr__(self):
         return "SpherePoint(inf)" if self.is_infinite else f"SpherePoint({self.value!r})"
@@ -96,9 +93,7 @@ INFINITY = SpherePoint.infinity()
 
 def chordal(a, b):
     """Chordal distance on the Riemann sphere (symmetric, <= 2)."""
-    pa = SpherePoint.of(a).embed()
-    pb = SpherePoint.of(b).embed()
-    return float(np.linalg.norm(pa - pb))
+    return float(chordal_array(complex(SpherePoint.of(a)), complex(SpherePoint.of(b))))
 
 
 def embed_points(values, infinite=None):
@@ -224,10 +219,6 @@ class Polynomial:
         if lead == 0:
             raise ValueError("cannot normalize the zero polynomial")
         return Polynomial(self.coefficients / lead)
-
-    def reversed(self):
-        """w^deg * p(1/w), on the stored coefficient window."""
-        return Polynomial(self.coefficients[::-1])
 
     def scale_argument(self, c):
         """The polynomial z -> p(c*z)."""
@@ -388,45 +379,11 @@ class RationalMap:
 
     def __call__(self, z):
         """Evaluate on the sphere; total (poles and infinity included)."""
-        pt = SpherePoint.of(z)
-        if pt.is_infinite:
-            return self._eval_outer_chart(0j, at_infinity=True)
-        v = pt.value
-        if abs(v) <= 1.0:
-            pz = self.num(v)
-            qz = self.den(v)
-            if qz == 0:
-                return INFINITY
-            return SpherePoint(pz / qz)
-        return self._eval_outer_chart(1.0 / v, at_infinity=False)
-
-    def _eval_outer_chart(self, w, at_infinity):
-        """Evaluate p/q at z = 1/w via reversed coefficients (|w| <= 1)."""
-        dp, dq = self.num.degree, self.den.degree
-        pr = npoly.polyval(w, self.num.coefficients[::-1])
-        qr = npoly.polyval(w, self.den.coefficients[::-1])
-        k = dp - dq
-        if qr == 0:
-            return INFINITY
-        ratio = pr / qr
-        if at_infinity:
-            if k > 0:
-                return INFINITY if ratio != 0 else SpherePoint(0j)
-            if k < 0:
-                return SpherePoint(0j)
-            return SpherePoint(ratio)
-        # finite z with |z| > 1: value = ratio * z^k, guarded against overflow
-        if ratio == 0:
-            return SpherePoint(0j)
-        log_mag = math.log(abs(ratio)) - k * math.log(abs(w))
-        if log_mag > 320:
-            return INFINITY
-        if log_mag < -320:
-            return SpherePoint(0j)
-        return SpherePoint(ratio * (1.0 / w) ** k)
+        return SpherePoint(self.eval_array(complex(SpherePoint.of(z)))[()])
 
     def eval_array(self, z):
-        """Vectorized evaluation on the sphere; total like __call__.
+        """Vectorized evaluation on the sphere; total (poles and infinity
+        included).  __call__ is this kernel on one point.
 
         Input entries that are not finite or exceed _HUGE in modulus are the
         point at infinity.  Poles, overflow and moduli beyond _HUGE come out
@@ -470,13 +427,9 @@ class RationalMap:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """Pointwise power f(z)^n (not iteration)."""
-        if n < 0:
-            raise ValueError("negative map power")
-        out = RationalMap([1])
-        for _ in range(n):
-            out = out * self
-        return out
+        """Pointwise power f(z)^n (not iteration); powers of a coprime pair
+        stay coprime, so no gcd pass is needed."""
+        return RationalMap(self.num ** n, self.den ** n, reduce=False)
 
     def derivative(self):
         w = self.num.derivative() * self.den - self.num * self.den.derivative()
@@ -528,8 +481,9 @@ def homogeneous_horner(f, p, q):
     """(q^d num(p/q), q^d den(p/q)) with d = deg f: f applied to the
     homogeneous value p/q, by Horner in p with running powers of q.
 
-    Only ring operations are used, so p and q may be Polynomials, scalars
-    or arrays of any complex dtype; the output lives where they do.
+    Only ring operations are used, so p and q may be Polynomials, truncated
+    power series, scalars or arrays of any complex dtype; the output lives
+    where they do.
     """
     d = f.degree
     num = list(f.num.coefficients) + [0j] * (d - f.num.degree)
@@ -691,7 +645,7 @@ def critical_points(f):
     """The 2 deg - 2 critical points with multiplicity (including infinity)."""
     if f.degree < 2:
         raise ValueError("critical points need degree >= 2")
-    w = (f.num.derivative() * f.den - f.num * f.den.derivative()).trimmed(1e-13)
+    w = f.derivative().num.trimmed(1e-13)
     pts = []
     if w.degree >= 1:
         pts = [SpherePoint(r) for r in poly_roots(w)]

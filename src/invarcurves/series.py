@@ -7,6 +7,8 @@ O(N^2) convolution; the orders used here never justify FFT products).
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .rational import homogeneous_horner
+
 
 class TruncatedPowerSeries:
     """Taylor data c_0..c_N; arithmetic truncates to the smaller order."""
@@ -79,19 +81,10 @@ class TruncatedPowerSeries:
 
 
 def compose_rational(f, s):
-    """Taylor expansion of f(s(z)) through the order of s.
+    """Taylor expansion of f(s(z)) through the order of s: the homogeneous
+    Horner of rational.py on the series (s, 1).
 
     f is a RationalMap; the constant term of s must avoid the poles of f.
     """
-    n = s.order
-
-    def horner(poly_coeffs):
-        acc = TruncatedPowerSeries(np.zeros(n + 1, dtype=complex))
-        acc = acc + complex(poly_coeffs[-1])
-        for c in poly_coeffs[-2::-1]:
-            acc = acc * s + complex(c)
-        return acc
-
-    p = horner(f.num.coefficients)
-    q = horner(f.den.coefficients)
+    p, q = homogeneous_horner(f, s, 1.0)
     return p * q.reciprocal()

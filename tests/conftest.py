@@ -83,6 +83,74 @@ def mp_chain_identity_residual(left_chain, right_chain, n_points=None, dps=40):
         return worst
 
 
+def scalar_call(f, z):
+    """Oracle for RationalMap.__call__ and eval_array: one point at a time in
+    Python complex arithmetic, |z| > 1 and infinity through the reversed
+    coefficients, with a log-magnitude overflow guard."""
+    from invarcurves.rational import INFINITY, SpherePoint
+
+    pt = SpherePoint.of(z)
+    if pt.is_infinite:
+        return _scalar_outer_chart(f, 0j, at_infinity=True)
+    v = pt.value
+    if abs(v) <= 1.0:
+        pz = f.num(v)
+        qz = f.den(v)
+        if qz == 0:
+            return INFINITY
+        return SpherePoint(pz / qz)
+    return _scalar_outer_chart(f, 1.0 / v, at_infinity=False)
+
+
+def _scalar_outer_chart(f, w, at_infinity):
+    """Evaluate p/q at z = 1/w via reversed coefficients (|w| <= 1)."""
+    from numpy.polynomial import polynomial as npoly
+
+    from invarcurves.rational import INFINITY, SpherePoint
+
+    dp, dq = f.num.degree, f.den.degree
+    pr = npoly.polyval(w, f.num.coefficients[::-1])
+    qr = npoly.polyval(w, f.den.coefficients[::-1])
+    k = dp - dq
+    if qr == 0:
+        return INFINITY
+    ratio = pr / qr
+    if at_infinity:
+        if k > 0:
+            return INFINITY if ratio != 0 else SpherePoint(0j)
+        if k < 0:
+            return SpherePoint(0j)
+        return SpherePoint(ratio)
+    # finite z with |z| > 1: value = ratio * z^k, guarded against overflow
+    if ratio == 0:
+        return SpherePoint(0j)
+    log_mag = math.log(abs(ratio)) - k * math.log(abs(w))
+    if log_mag > 320:
+        return INFINITY
+    if log_mag < -320:
+        return SpherePoint(0j)
+    return SpherePoint(ratio * (1.0 / w) ** k)
+
+
+def series_horner_compose(f, s):
+    """Oracle for series.compose_rational: its own Horner over the series,
+    numerator and denominator each at their own degree."""
+    from invarcurves.series import TruncatedPowerSeries
+
+    n = s.order
+
+    def horner(poly_coeffs):
+        acc = TruncatedPowerSeries(np.zeros(n + 1, dtype=complex))
+        acc = acc + complex(poly_coeffs[-1])
+        for c in poly_coeffs[-2::-1]:
+            acc = acc * s + complex(c)
+        return acc
+
+    p = horner(f.num.coefficients)
+    q = horner(f.den.coefficients)
+    return p * q.reciprocal()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
@@ -90,7 +158,8 @@ def rng():
 
 def scalar_evaluate(F, z, nudge=None):
     """Oracle for poincare.evaluate: one point at a time, each pull-back step
-    a Python complex division and each push-forward step RationalMap.__call__.
+    a Python complex division and each push-forward step the scalar_call
+    oracle.
     Returns the value and the number k of pull-back steps.
 
     Raises ArithmeticError where poincare.evaluate does: beyond MAX_PULLBACK
@@ -118,7 +187,7 @@ def scalar_evaluate(F, z, nudge=None):
         if s == s_nudge and not w.is_infinite:
             w = SpherePoint(w.value * (1 + eta))
         if s < k:
-            w = F.map(w)
+            w = scalar_call(F.map, w)
     return w, k
 
 

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invarcurves import cli
 from invarcurves.rational import RationalMap
@@ -68,6 +73,16 @@ class TestPoincareCommand:
 
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate"]) == 64
+
+    @pytest.mark.parametrize("t_max", ["inf", "-inf", "nan", "0", "-5", "1e308"])
+    def test_bad_trace_range_is_exit_2(self, tmp_path, capsys, t_max):
+        # rejected before linspace, so without a RuntimeWarning (an error
+        # under the suite's filterwarnings)
+        code = run(["poincare", "--map", SQUARE_JSON, "--fixed-point", "1,0",
+                    f"--trace-range={t_max}", "--samples", "64",
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "trace range must lie in" in capsys.readouterr().err
 
 
 class TestLattesCommand:
@@ -224,3 +239,102 @@ class TestRuntimeDependencies:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
+
+
+# argv pieces for the fuzz test: extreme and malformed values next to valid
+# ones, with sizes kept small (at most 64 samples, order at most 20)
+def mostly(good, bad):
+    """A good value nine draws in ten, so that most argv get past parsing."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+NUMBERS = mostly(
+    st.one_of(st.sampled_from(["0.5", "1", "2", "10", "1e-20", "1e20", "1e308", "1e-308",
+                               "5e-324"]), st.floats(1e-3, 1e3).map(repr)),
+    st.one_of(st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "abc", "", "1,2",
+                               "0x10"]), st.floats().map(repr)))
+SMALL_INTS = mostly(st.integers(-1, 5).map(str),
+                    st.sampled_from(["1.5", "nan", "abc", "", "1e3", "99999999999999999999"]))
+SIZES = mostly(st.integers(1, 64).map(str), st.sampled_from(["-2", "0", "nan", "1.5", "x", ""]))
+ORDERS = mostly(st.integers(1, 20).map(str), st.sampled_from(["-1", "0", "nan", "2.0", ""]))
+SEEDS = mostly(st.sampled_from(["0", "7", "99999999999999999999"]),
+               st.sampled_from(["-1", "nan", "x"]))
+FORMATS = mostly(st.sampled_from(["json", "csv", "svg", "json,csv,svg", "csv,svg"]),
+                 st.sampled_from(["", ",", "xml", "JSON", "json,,csv"]))
+MAPS = mostly(st.sampled_from([
+    SQUARE_JSON, SHIFT_JSON,
+    json.dumps({"num": [[-2, 0], [0, 0], [1, 0]]}),
+    json.dumps({"num": [[1, 0], [0, 0], [1, 0]], "den": [[0, 0], [2, 0]]}),
+    json.dumps({"num": [[0, 0], [0.3, 0.4], [1, 0]], "den": [[1, 0], [0.5, 0]]}),
+    json.dumps({"num": [[1, 0]]}), json.dumps({"num": [[0, 0]]}),
+    json.dumps({"num": [[0, 0], [1, 0]]}),
+    json.dumps({"num": [[1e308, 0], [1e308, 0], [1e308, 0]]}),
+    json.dumps({"num": [[1e-308, 0], [0, 0], [1e-308, 0]]})]),
+    st.sampled_from([
+        json.dumps({"num": [[1, 0]], "den": [[0, 0]]}),
+        '{"num": [[NaN, 0], [1, 0]]}', '{"num": [[Infinity, 0], [0, 0], [1, 0]]}',
+        '{', '[]', 'null', '"z"', '{"num": 1}', '{"num": [[1]]}', '{"num": [["a", "b"]]}',
+        '{"den": [[1, 0]]}', '@/nonexistent/map.json', '', 'z^2']))
+LATTICES = mostly(st.sampled_from([
+    LATTICE_JSON, json.dumps({"g1": [1, 0], "g2": [0.5, 1.1]}),
+    json.dumps({"g1": [1e-300, 0], "g2": [0, 1e-300]}),
+    json.dumps({"g1": [1e300, 0], "g2": [0, 1e300]}),
+    json.dumps({"g1": [1, 0], "g2": [2, 0]}), json.dumps({"g1": [0, 0], "g2": [0, 1]})]),
+    st.sampled_from([
+        '{"g1": [NaN, 0], "g2": [0, 1]}', '{"g1": [Infinity, 0], "g2": [0, 1]}',
+        '{"g1": [1, 0]}', '{"g1": [1], "g2": [0, 1]}', '{"g1": "a", "g2": [0, 1]}',
+        '[1, 2]', '{', '', 'null']))
+POINTS = mostly(st.sampled_from(["1,0", "2,0", "0,0", "-1,0", "0.5,0.5", "1", "1j"]),
+                st.sampled_from(["nan,0", "inf,inf", "1e308,0", "abc", "", "1,2,3", ","]))
+# maps with a repelling fixed point, so that half the poincare draws solve
+# and trace instead of stopping at the first check
+LINEARIZABLE = st.sampled_from([
+    (SQUARE_JSON, "1,0"), (json.dumps({"num": [[-2, 0], [0, 0], [1, 0]]}), "2,0"),
+    (json.dumps({"num": [[-2, 0], [0, 0], [1, 0]]}), "-1,0"),
+    (json.dumps({"num": [[0, 0], [0, 0], [0, 0], [1, 0]]}), "-1,0"),
+    (json.dumps({"num": [[-1, 0], [0, 0], [1, 0]], "den": [[1, 0]]}), "1.618033988749895,0")])
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for one of the subcommands.  Each flag is "--flag=value", so
+    that a value starting with "-" stays a value; optional flags appear or
+    not."""
+    def flags(required=False, **choices):
+        return [f"--{name.replace('_', '-')}={draw(values)}"
+                for name, values in choices.items() if required or draw(st.booleans())]
+
+    kind = draw(st.sampled_from(["poincare", "lattes", "semiconj", "example"]))
+    if kind == "poincare":
+        f, a = draw(st.one_of(LINEARIZABLE, st.tuples(MAPS, POINTS)))
+        argv = ["poincare", f"--map={f}", f"--fixed-point={a}"]
+        argv += flags(trace_range=NUMBERS)
+    elif kind == "lattes":
+        argv = ["lattes"] + flags(True, lattice=LATTICES)
+    elif kind == "semiconj":
+        argv = ["semiconj"] + flags(u=MAPS, v=MAPS, w=MAPS, m=SMALL_INTS, n=SMALL_INTS)
+        if draw(st.booleans()):
+            argv += ["--verify", draw(MAPS), draw(MAPS), draw(MAPS), draw(SMALL_INTS)]
+    else:
+        argv = ["example", draw(st.sampled_from(["1", "2", "3", "0", "x"]))]
+        argv += flags(p=NUMBERS, omega1=NUMBERS, omega2=NUMBERS,
+                      offset_thirds=SMALL_INTS, hyperbola_n=SMALL_INTS, dmax=SMALL_INTS)
+    # sizes are always given, so that no draw runs at the default 1024 / 60
+    return (argv + flags(True, samples=SIZES, order=ORDERS)
+            + flags(seed=SEEDS, tol=NUMBERS, format=FORMATS))
+
+
+class TestFuzz:
+    @settings(max_examples=200)
+    @given(argv=cli_argv())
+    def test_every_argv_ends_in_a_documented_exit_code(self, argv):
+        # 0, 2, 3 or 64, with no traceback and no warning on the way
+        with tempfile.TemporaryDirectory() as out, \
+                warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = run(argv + ["--out", os.path.join(out, "run")])
+        assert code in (0, 2, 3, 64), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert not caught, (argv, [str(w.message) for w in caught])

@@ -315,6 +315,26 @@ class TestReflectionXY:
         with pytest.raises(ValueError):
             example1_xy_check(INV2, OFFSET2)
 
+    def test_residuals_do_not_depend_on_lattice_scale(self):
+        # samples at fixed fractions of the periods, residuals relative to
+        # the wp scale: the same small figures from 1e-20 to 1e20 (no nan,
+        # no warning), and the same bits under powers of two
+        reports = {}
+        for omega in [10.0 ** k for k in range(-20, 21)] + [0.5, 2.0]:
+            lat = Lattice(2.0 * omega, 2j * omega)
+            r = example1_xy_check(invariants_from_lattice(lat), lat.g2 / 3.0)
+            assert r.on_line_residual <= 1e-13, omega
+            assert r.periodicity_residual <= 1e-13, omega
+            # Y off L scales like wp, as omega^-2
+            assert abs(r.off_line_y * omega ** 2 - (0.2597427231863211 - 1.016989965353381j)) \
+                <= 1e-12, omega
+            reports[omega] = r
+        for omega in (0.5, 2.0):
+            r, r1 = reports[omega], reports[1.0]
+            assert r.on_line_residual == r1.on_line_residual
+            assert r.periodicity_residual == r1.periodicity_residual
+            assert r.off_line_y * omega ** 2 == r1.off_line_y
+
 
 class TestSvg:
     def test_well_formed_and_deterministic(self):

@@ -210,6 +210,10 @@ BENCH_INV = {name: invariants_from_lattice(lat) for name, lat in BENCH_LIKE.item
 cell_coordinates = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 
+def _normal_or_zero(x):
+    return (np.abs(x) >= np.finfo(float).tiny) | (x == 0) | ~np.isfinite(x)
+
+
 class TestArrayKernel:
     @given(name=st.sampled_from(sorted(BENCH_LIKE)),
            xys=st.lists(cell_coordinates, min_size=1, max_size=20))
@@ -265,13 +269,19 @@ class TestArrayKernel:
         zs = np.array([x * lat.g1 + y * lat.g2 for x, y in xys])
         s = math.ldexp(1.0, k)
         scaled = invariants_from_lattice(Lattice(s * lat.g1, s * lat.g2))
+        # a part that underflows to a subnormal (in s z, or in a result on
+        # either side) keeps fewer bits there, so exactness holds only for
+        # points that scale exactly and parts that are normal or zero
+        sz = s * zs
+        zs = zs[(np.ldexp(sz.real, -k) == zs.real) & (np.ldexp(sz.imag, -k) == zs.imag)]
         w, d = inv.wp_prime(zs)
         w2, d2 = scaled.wp_prime(s * zs)
-        assert np.array_equal(w2.real, np.ldexp(w.real, -2 * k))
-        assert np.array_equal(w2.imag, np.ldexp(w.imag, -2 * k))
         finite = np.isfinite(d)
-        assert np.array_equal(d2.real[finite], np.ldexp(d.real[finite], -3 * k))
-        assert np.array_equal(d2.imag[finite], np.ldexp(d.imag[finite], -3 * k))
+        for a, b, e in ((w2.real, w.real, -2 * k), (w2.imag, w.imag, -2 * k),
+                        (d2.real[finite], d.real[finite], -3 * k),
+                        (d2.imag[finite], d.imag[finite], -3 * k)):
+            normal = _normal_or_zero(a) & _normal_or_zero(b)
+            assert np.array_equal(a[normal], np.ldexp(b[normal], e))
 
     @given(name=st.sampled_from(sorted(BENCH_LIKE)), log_s=st.floats(-30.0, 30.0),
            phase=st.floats(0.0, 2 * math.pi))

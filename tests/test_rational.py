@@ -9,7 +9,7 @@ from invarcurves.rational import (
     multiplier, poly_roots,
     ATTRACTING, NEUTRAL_IRRATIONAL, NEUTRAL_RATIONAL, REPELLING, SUPERATTRACTING)
 
-from conftest import random_rational_map, random_sphere_points
+from conftest import random_rational_map, random_sphere_points, scalar_call
 
 
 class TestSpherePoint:
@@ -49,7 +49,7 @@ class TestEval:
         zs = random_sphere_points(rng, 50)
         arr = f.eval_array(zs)
         for z, v in zip(zs, arr):
-            assert chordal(v, f(z)) < 1e-9  # SpherePoint coerces complex inf
+            assert chordal(v, scalar_call(f, z)) < 1e-9  # SpherePoint coerces complex inf
 
 
 @st.composite
@@ -76,7 +76,17 @@ class TestEvalArraySphere:
         values = f.eval_array(zs)
         assert not np.any(np.isnan(values))
         for z, v in zip(zs, values):
-            assert chordal(v, f(z)) <= 16 * np.finfo(float).eps
+            assert chordal(v, scalar_call(f, z)) <= 16 * np.finfo(float).eps
+
+    @given(case=maps_with_exact_poles())
+    def test_call_is_one_point_of_the_array(self, case):
+        # f(z) is eval_array on one point: the same value, bit for bit, at
+        # infinity, at exact poles, at 1e200 and on the outer chart
+        f, zs = case
+        values = f.eval_array(zs)
+        for z, v in zip(zs, values):
+            assert f(z) == SpherePoint(v)
+            assert f(SpherePoint(z)) == SpherePoint(v)
 
 
 class TestCompose:
@@ -126,6 +136,21 @@ class TestCompose:
         p, q = homogeneous_horner(RationalMap([2]), zs, np.ones_like(zs))
         assert p.shape == zs.shape and np.allclose(p / q, 2)
         assert identity_residual(RationalMap([2]), RationalMap([2])) == 0.0
+
+
+class TestPower:
+    def test_power_is_repeated_product(self, rng):
+        for n in range(5):
+            f = random_rational_map(rng, 2)
+            ref = RationalMap([1])
+            for _ in range(n):
+                ref = ref * f
+            assert coefficient_residual(f ** n, ref) <= 1e-12
+            assert (f ** n).degree == 2 * n
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            RationalMap([0, 1], [1, 1]) ** -1
 
 
 class TestIterate:
