@@ -501,12 +501,15 @@ def example1_xy_check(invariants, offset, n_samples=100, seed=0):
     w, wr = w[:len(z)], w[len(z):].conjugate()
     x, y = (w + wr) / 2.0, (w - wr) / 2j
     n = len(on_line)
-    # both residuals are relative to one wp scale, that of the samples off L
-    scale = float(np.max(np.abs(w[n:])))
-    on_line = float(np.max(np.abs([x[:n] - w[:n].real, y[:n] - w[:n].imag]))) / scale
+    # each sample is judged against max(wp scale, its own values); the wp
+    # scale max(|g2|^(1/2), |g3|^(1/3)) is in the lattice's units, as 1 is not
+    wp_scale = max(math.sqrt(abs(invariants.g2)), float(np.cbrt(abs(invariants.g3))))
+    ref = np.maximum(wp_scale, np.abs(w[:n]))
+    on_line = float(np.max(np.abs([x[:n] - w[:n].real, y[:n] - w[:n].imag]) / ref))
     # rows: z0, z0 + g1, z0 + g2
     xs, ys = x[n:-1].reshape(3, n_samples), y[n:-1].reshape(3, n_samples)
-    shifts = np.abs(np.concatenate([xs[1:] - xs[0], ys[1:] - ys[0]])) / scale
+    ref = np.maximum(wp_scale, np.maximum(np.abs(xs[0]), np.abs(ys[0])))
+    shifts = np.abs(np.concatenate([xs[1:] - xs[0], ys[1:] - ys[0]])) / ref
     return ReflectionXYReport(on_line, float(np.max(shifts, initial=0.0)), complex(y[-1]))
 
 

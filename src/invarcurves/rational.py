@@ -103,13 +103,10 @@ def embed_points(values, infinite=None):
     boolean mask forces entries to infinity.
     """
     z = np.asarray(values, dtype=complex)
-    bad = ~np.isfinite(z.real) | ~np.isfinite(z.imag)
+    bad = ~(np.abs(z) <= _HUGE)          # nan and inf compare false
     if infinite is not None:
         bad = bad | np.asarray(infinite, dtype=bool)
     zs = np.where(bad, 0.0, z)
-    big = np.abs(zs) > _HUGE
-    zs = np.where(big, 0.0, zs)
-    bad = bad | big
     n = np.abs(zs) ** 2
     out = np.empty(z.shape + (3,))
     out[..., 0] = 2 * zs.real / (n + 1)
@@ -238,13 +235,8 @@ class Polynomial:
 
     def allclose(self, other, rtol=1e-10):
         other = other if isinstance(other, Polynomial) else Polynomial(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        a = np.zeros(n, dtype=complex)
-        b = np.zeros(n, dtype=complex)
-        a[: len(self.coefficients)] = self.coefficients
-        b[: len(other.coefficients)] = other.coefficients
         s = max(self.scale, other.scale, 1e-300)
-        return bool(np.max(np.abs(a - b)) <= rtol * s)
+        return bool((self - other).scale <= rtol * s)
 
     def __repr__(self):
         return f"Polynomial({np.array2string(self.coefficients, separator=', ')})"

@@ -87,4 +87,5 @@ def compose_rational(f, s):
     f is a RationalMap; the constant term of s must avoid the poles of f.
     """
     p, q = homogeneous_horner(f, s, 1.0)
-    return p * q.reciprocal()
+    zero = TruncatedPowerSeries(np.zeros(s.order + 1))  # lifts a constant map's scalars
+    return (zero + p) * (zero + q).reciprocal()

@@ -104,6 +104,10 @@ class TestComposeRational:
         out = compose_rational(RationalMap([1], [0, 1]), s)
         assert np.allclose(out.coefficients, [1, -1, 1])
 
+    def test_constant_map(self):
+        out = compose_rational(RationalMap([2]), TruncatedPowerSeries([1, 1, 0]))
+        assert np.array_equal(out.coefficients, [2, 0, 0])
+
     def test_pole_at_constant_term_rejected(self):
         s = TruncatedPowerSeries([0, 1, 0])
         with pytest.raises(ZeroDivisionError):
