@@ -2,8 +2,10 @@
 
 Any point of the plane is reduced into the fundamental cell, halved into the
 disc where the Laurent series of wp converges fast, and pushed back up with
-the degree-4 duplication map.  The classical identities then serve as live
-accuracy meters.
+the degree-4 duplication map.  wp(2z) = f(wp(z)) makes wp a Poincare
+function of f with multiplier 2, so this is the linearizer's climb: the same
+pull-back, push-forward and rule for infinity, and wp' rides along by the
+chain rule.  The classical identities then serve as live accuracy meters.
 """
 
 import math

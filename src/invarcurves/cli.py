@@ -27,6 +27,7 @@ INVARIANCE_TOL = 1e-7
 ALGEBRAIC_PASS_TOL = 1e-6
 EVIDENCE_TOL = 1e-3
 CERTIFY_TOL = 1e-9
+FORMATS = {"json", "csv", "svg"}
 
 
 class UsageError(Exception):
@@ -55,13 +56,24 @@ class RunConfig:
     samples: int = 1024
     seed: int = 0
     out: Path = Path("out")
-    formats: set = field(default_factory=lambda: {"json", "csv", "svg"})
+    formats: set = field(default_factory=lambda: set(FORMATS))
 
     def __post_init__(self):
         if self.tol is not None and self.tol <= 0:
             raise UsageError("tolerance overrides must be positive")
         if self.samples <= 0 or self.order <= 0:
             raise UsageError("sample counts and orders must be positive")
+        if not self.formats <= FORMATS:
+            raise UsageError(f"formats must be among {', '.join(sorted(FORMATS))}")
+
+    def write_trace(self, trace, fit=None, fixed_map=None):
+        """trace.csv and trace.svg where --format asks for them (the JSON
+        reports are always written); the SVG marks fixed_map's fixed points."""
+        if "csv" in self.formats:
+            _write(self.out, "trace.csv", trace.to_csv())
+        if "svg" in self.formats:
+            fps = () if fixed_map is None else [p.location for p in fixed_points(fixed_map)]
+            _write(self.out, "trace.svg", curves.trace_svg(trace, fit, fps))
 
     @classmethod
     def from_args(cls, args):
@@ -199,10 +211,7 @@ def cmd_poincare(args):
         trace = poincare.trace_real_axis(F, args.trace_range, cfg.samples)
         crossings = poincare.injectivity_check(trace)
         realness = poincare.multiplier_real_check(f, trace)
-        if "csv" in cfg.formats:
-            _write(outdir, "trace.csv", trace.to_csv())
-        if "svg" in cfg.formats:
-            _write(outdir, "trace.svg", curves.trace_svg(trace))
+        cfg.write_trace(trace)
         report["trace"] = {"range": args.trace_range, "samples": cfg.samples}
         report["crossings"] = [
             {"s": c.s, "t": c.t, "point": [c.point.real, c.point.imag],
@@ -279,7 +288,7 @@ def cmd_semiconj(args):
     return EXIT_OK
 
 
-def _example_1(args, cfg, outdir):
+def _example_1(args, cfg):
     run = _StageRunner("example 1")
     lat = run("lattice", elliptic.Lattice, 2.0 * args.omega1, 2j * args.omega2)
     inv = run("invariants", elliptic.invariants_from_lattice, lat)
@@ -296,11 +305,7 @@ def _example_1(args, cfg, outdir):
                EVIDENCE_TOL, ALGEBRAIC_PASS_TOL)
     xy = run("reflection check", curves.example1_xy_check, inv, offset,
              seed=cfg.seed)
-    if "csv" in cfg.formats:
-        _write(outdir, "trace.csv", trace.to_csv())
-    if "svg" in cfg.formats:
-        finite_fps = [p.location for p in fixed_points(system.map)]
-        _write(outdir, "trace.svg", curves.trace_svg(trace, cf, finite_fps))
+    cfg.write_trace(trace, cf, system.map)
     return {
         "lattice": lat.to_json_dict(),
         "g2": [inv.g2.real, inv.g2.imag],
@@ -321,7 +326,7 @@ def _example_1(args, cfg, outdir):
     }
 
 
-def _example_2(args, cfg, outdir):
+def _example_2(args, cfg):
     run = _StageRunner("example 2")
     tau = complex(args.p, 1.0)
     lat = run("lattice", elliptic.Lattice, 1.0, tau)
@@ -345,10 +350,7 @@ def _example_2(args, cfg, outdir):
                   EVIDENCE_TOL, ALGEBRAIC_PASS_TOL)
     verdictL = run("commensurability", curves.lattice_commensurability,
                    lat, elliptic.Lattice(1.0, tau.conjugate()), q_max=1000)
-    if "csv" in cfg.formats:
-        _write(outdir, "trace.csv", trace.to_csv())
-    if "svg" in cfg.formats:
-        _write(outdir, "trace.svg", curves.trace_svg(trace, cf))
+    cfg.write_trace(trace, cf)
     return {
         "lattice": lat.to_json_dict(),
         "invariance_residual": inv_res,
@@ -368,7 +370,7 @@ def _example_2(args, cfg, outdir):
     }
 
 
-def _example_3(args, cfg, outdir):
+def _example_3(args, cfg):
     run = _StageRunner("example 3")
     n = args.hyperbola_n
     # the polyline discretization error must sit well below the 1e-7
@@ -382,10 +384,7 @@ def _example_3(args, cfg, outdir):
     idx = np.arange(n_tr // 3, 2 * n_tr // 3, 3)
     inv_res = run("invariance", curves.invariance_residual, example.map,
                   example.trace, sample_indices=idx)
-    if "csv" in cfg.formats:
-        _write(outdir, "trace.csv", example.trace.to_csv())
-    if "svg" in cfg.formats:
-        _write(outdir, "trace.svg", curves.trace_svg(example.trace))
+    cfg.write_trace(example.trace)
     return {
         "n": n,
         "epsilon": [example.epsilon.real, example.epsilon.imag],
@@ -405,12 +404,13 @@ def _example_3(args, cfg, outdir):
 
 def cmd_example(args):
     cfg = RunConfig.from_args(args)
-    outdir = cfg.out
+    if args.dmax is not None and args.dmax < 1:
+        raise UsageError("--dmax must be at least 1")   # so `args.dmax or 8` replaces only None
     builders = {1: _example_1, 2: _example_2, 3: _example_3}
-    report = builders[args.which](args, cfg, outdir)
+    report = builders[args.which](args, cfg)
     report["example"] = args.which
     report["seed"] = cfg.seed
-    _write(outdir, f"example{args.which}_report.json", _dump_json(report))
+    _write(cfg.out, f"example{args.which}_report.json", _dump_json(report))
     return EXIT_OK
 
 

@@ -406,6 +406,8 @@ def transcendence_scan(trace, d_max, evidence_threshold=1e-3, pass_threshold=1e-
     in the tests pairs this with the degree-4 invariant curve) through the
     same pipeline before trusting a verdict.
     """
+    if d_max < 1:
+        raise ValueError(f"the scan needs d_max >= 1, got {d_max}")
     reports = [algebraic_fit(trace, d) for d in range(1, d_max + 1)]
     return TranscendenceScan(reports, evidence_threshold, pass_threshold)
 

@@ -6,9 +6,11 @@ points collapses to a closed cosecant form, so the tail decays geometrically;
 the raw square-shell sums decay only cubically and cannot reach 1e-12).
 A brute-force shell summer is kept as an independent cross-check.
 
-Evaluation of wp anywhere: reduce to the fundamental cell, halve the
-argument into the disc where the Laurent series is accurate, then climb back
-with the degree-4 duplication map.
+Evaluation of wp anywhere: reduce to the fundamental cell, then climb as a
+linearizer with multiplier 2 does, since wp(2z) = f(wp(z)): halve into the
+disc where the Laurent series is accurate and push back through the degree-4
+duplication map f, with the linearizer's pull-back, push-forward and rule for
+infinity (rational.py).
 """
 
 import cmath
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .rational import _HUGE, SpherePoint
+from .rational import _HUGE, RationalMap, SpherePoint, pull_back, push_forward
 
 ZETA4 = math.pi ** 4 / 90.0
 ZETA6 = math.pi ** 6 / 945.0
@@ -24,6 +26,7 @@ ZETA6 = math.pi ** 6 / 945.0
 LAURENT_ORDER = 24       # c_2..c_M of wp(z) = z^-2 + sum c_k z^(2k-2)
 ROW_TOL = 1e-16          # relative cutoff for the row resummation
 DEGENERACY_TOL = 1e-12   # |Im(g2/g1)| / scale below this is a degenerate lattice
+MAX_HALVINGS = 1100      # a finite point of the frame's cell needs at most ~1030
 
 _INF = complex(math.inf, 0.0)
 
@@ -187,7 +190,7 @@ class EllipticInvariants:
     """
 
     __slots__ = ("lattice", "g2", "g3", "laurent", "duplication", "base_radius",
-                 "_exponent", "_cell", "_laurent", "_duplication")
+                 "_exponent", "_cell", "_laurent", "_duplication_map")
 
     def __init__(self, lattice, g2, g3, order=LAURENT_ORDER):
         self.lattice = lattice
@@ -200,11 +203,12 @@ class EllipticInvariants:
         scale = max(abs(g2f) ** 3, 27.0 * abs(g3f) ** 2)
         if abs(g2f ** 3 - 27.0 * g3f ** 2) <= 1e-12 * scale:
             raise ValueError("discriminant ~ 0: degenerate invariants")
-        # the lattice, Laurent data and duplication map of the frame
+        # the lattice, Laurent data and duplication map (coprime: the
+        # discriminant is not 0) of the frame
         self._cell = Lattice(math.ldexp(1.0, -e) * lattice.g1,
                              math.ldexp(1.0, -e) * lattice.g2)
         self._laurent = laurent_coefficients(g2f, g3f, order)
-        self._duplication = _duplication_coefficients(g2f, g3f)
+        self._duplication_map = RationalMap(*_duplication_coefficients(g2f, g3f), reduce=False)
         with np.errstate(all="ignore"):    # far from side 1 these leave the float range
             self.laurent = laurent_coefficients(self.g2, self.g3, order)
         self.duplication = _duplication_coefficients(self.g2, self.g3)
@@ -215,40 +219,28 @@ class EllipticInvariants:
     def wp(self, z):
         """wp(z): a complex for a scalar z, a complex array for an array;
         complex inf at lattice points."""
-        return self._evaluate(z, False)[0]
+        return self._climb(z, False)[0]
 
     def wp_prime(self, z):
-        """(wp(z), wp'(z)), scalars or arrays as for wp; the derivative
-        climbs the doubling chain by wp'(2z) = f'(wp(z)) * wp'(z) / 2."""
-        return self._evaluate(z, True)
-
-    def _evaluate(self, z, derivative):
-        z = np.asarray(z, dtype=complex)
-        out = [v.reshape(z.shape) for v in self._climb(z.ravel(), derivative)]
-        return tuple(complex(v) for v in out) if z.ndim == 0 else tuple(out)
+        """(wp(z), wp'(z)), scalars or arrays as for wp."""
+        return self._climb(z, True)
 
     def _climb(self, z, derivative):
-        """wp (and wp') of a flat array, in the frame: reduce to the centred
-        cell, halve each point into the disc |z| <= shortest/4 where the
-        Laurent series is accurate, then climb back through the duplication
-        map f, each step over the points still climbing.  Lattice points,
-        |w| > 1e100 and the poles of f give complex inf; nan stays nan."""
+        """wp (and wp') in the frame: reduce to the centred cell, pull each
+        point back by 2 into the disc |z| <= shortest/4 where the Laurent
+        series is accurate, then push it forward through the duplication map
+        f: the linearizer's climb (rational.pull_back, push_forward) and its
+        rule for infinity; lattice points give complex inf.  wp' climbs as
+        (f^k)'(wp(z/2^k)) wp'(z/2^k) = 2^k wp'(z), scaled back exactly."""
+        z = np.asarray(z, dtype=complex)
+        shape, z = z.shape, z.ravel()
         e = self._exponent
         values = [np.full(len(z), _INF) for _ in range(1 + derivative)]
         z = reduce_to_fundamental(self._cell, z * math.ldexp(1.0, -e))
         shortest = math.ldexp(4.0 * self.base_radius, -e)
         live = np.flatnonzero(np.abs(z) > 1e-14 * shortest)
-        z = z[live]
-        depth = np.zeros(len(z), dtype=int)
-        while True:
-            far = np.abs(z) > shortest / 4.0
-            if not far.any():
-                break
-            z = np.where(far, 0.5 * z, z)   # exact: the same z as halving one by one
-            depth += far
-        # deepest first, so the points still climbing are a prefix
-        order = np.argsort(-depth, kind="stable")
-        z, depth, live = z[order], depth[order], live[order]
+        # division by 2 is exact: the pulled-back points carry no rounding
+        z, depth = pull_back(z[live], 2.0, shortest / 4.0, MAX_HALVINGS)
         u = z * z
         c = self._laurent
         acc = dacc = 0j
@@ -258,26 +250,13 @@ class EllipticInvariants:
                 dacc = (dacc + (2 * k - 2) * c[k]) * u
         w = 1.0 / u + acc
         d = -2.0 / (u * z) + dacc / z if derivative else None
-        (a0, a1, a2, a3, a4), (b0, b1, b2, b3) = self._duplication
-        with np.errstate(all="ignore"):
-            for step in range(depth.max(initial=0)):
-                n = int(np.count_nonzero(depth > step))
-                x = w[:n]
-                den = ((b3 * x + b2) * x + b1) * x + b0
-                num = (((a4 * x + a3) * x + a2) * x + a1) * x + a0
-                fx = num / den
-                pole = (np.abs(x) > 1e100) | (den == 0) | np.isinf(fx)
-                fx[pole] = _INF
-                if derivative:
-                    dnum = ((4.0 * a4 * x + 3.0 * a3) * x + 2.0 * a2) * x + a1
-                    dden = (3.0 * b3 * x + 2.0 * b2) * x + b1
-                    fp = (dnum * den - num * dden) / (den * den)
-                    d[:n] = np.where(pole, _INF, 0.5 * fp * d[:n])
-                w[:n] = fx
-            for out, v, power in zip(values, (w, d), (-2 * e, -3 * e)):
+        climbed = push_forward(self._duplication_map, w, depth, d)
+        with np.errstate(over="ignore"):    # wp of a tiny lattice leaves the float range
+            for out, v, power in zip(values, climbed if derivative else (climbed,),
+                                     (-2 * e, -3 * e - depth)):
                 out.real[live] = np.ldexp(v.real, power)
                 out.imag[live] = np.ldexp(v.imag, power)
-        return values
+        return tuple(v.reshape(shape) if shape else complex(v[0]) for v in values)
 
     def to_json_dict(self):
         return {

@@ -15,8 +15,9 @@ from numpy.polynomial import polynomial as npoly
 
 from .curves import (CurveTrace, _flat_runs, _overlapping_boxes, _segments,
                      points_to_polyline_distance, segment_pair_distance)
-from .rational import (_HUGE, TAU_CLASS, REPELLING, SpherePoint, chordal,
-                       chordal_array, embed_points, fixed_points, multiplier)
+from .rational import (TAU_CLASS, REPELLING, SpherePoint, chordal,
+                       chordal_array, embed_points, fixed_points, multiplier,
+                       pull_back, push_forward)
 from .series import TruncatedPowerSeries, compose_rational
 
 TAIL_TARGET = 1e-13      # per-term series tail at the working radius
@@ -108,7 +109,8 @@ def _radii(c, a_scale):
 
 def evaluate(F, z):
     """F(z) anywhere in C: pull z into the working disc by powers of lambda
-    and climb back with the map itself.  Total (poles land at infinity).
+    and climb back with the map itself (rational.pull_back and push_forward,
+    the climb that wp shares).  Total (poles land at infinity).
 
     An array gives a complex array with inf at infinity; a scalar gives a
     SpherePoint.  A point that needs more than MAX_PULLBACK pull-back steps
@@ -117,34 +119,11 @@ def evaluate(F, z):
     """
     if np.ndim(z) == 0:
         return SpherePoint(evaluate(F, np.reshape(z, 1))[0])
-    zz = np.array(z, dtype=complex).ravel()
-    # masked pull-back: each point is divided by lambda until it lies in
-    # the disc, so k[i] counts its steps
-    k = np.zeros(len(zz), dtype=int)
-    idx = np.nonzero(np.abs(zz) > F.eval_radius)[0]
-    for _ in range(MAX_PULLBACK):
-        if len(idx) == 0:
-            break
-        zz[idx] /= F.multiplier
-        k[idx] += 1
-        idx = idx[np.abs(zz[idx]) > F.eval_radius]
-    if len(idx):
-        raise ArithmeticError(
-            f"z = {complex(np.ravel(z)[idx[0]]):.6g} needs more than {MAX_PULLBACK} "
-            f"pull-back steps (|lambda| = {abs(F.multiplier):.6g})")
-    # masked push-forward: order by depth so the points still to be pushed
-    # at step s are a prefix
-    order = np.argsort(-k, kind="stable")
-    depth = k[order]
+    zz, depth = pull_back(np.asarray(z, dtype=complex).ravel(), F.multiplier,
+                          F.eval_radius, MAX_PULLBACK)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = npoly.polyval(zz[order], F.coefficients)
-    w[~(np.abs(w) <= _HUGE)] = np.inf
-    for s in range(1, int(k.max(initial=0)) + 1):
-        m = int(np.searchsorted(-depth, -s, side="right"))
-        w[:m] = F.map.eval_array(w[:m])
-    out = np.empty_like(w)
-    out[order] = w
-    return out.reshape(np.shape(z))
+        w = npoly.polyval(zz, F.coefficients)
+    return push_forward(F.map, w, depth).reshape(np.shape(z))
 
 
 def functional_equation_residual(F, zs):

@@ -469,6 +469,45 @@ class RationalMap:
 # Module operations
 # ---------------------------------------------------------------------------
 
+def pull_back(z, mu, radius, max_steps):
+    """Divide each point of a flat array by mu until |z| <= radius: the
+    points reached and the step count of each.  A point that needs more than
+    max_steps steps raises ArithmeticError."""
+    out, depth = z.copy(), np.zeros(len(z), dtype=int)
+    idx = np.flatnonzero(np.abs(out) > radius)
+    while len(idx):                  # the points still outside share one depth
+        if depth[idx[0]] == max_steps:
+            raise ArithmeticError(f"z = {complex(z[idx[0]]):.6g} needs more than {max_steps} "
+                                  f"pull-back steps (|mu| = {abs(mu):.6g})")
+        out[idx] /= mu
+        depth[idx] += 1
+        idx = idx[np.abs(out[idx]) > radius]
+    return out, depth
+
+
+def push_forward(f, w, depth, dw=None):
+    """Send each w[i] through f.eval_array depth[i] times, deepest first so
+    that each step runs over the prefix still climbing; with dw, also carry
+    dw[i] to (f^depth[i])'(w[i]) dw[i] by the chain rule.  This is the climb
+    of the Poincare functions Phi(mu z) = f(Phi(z)), the linearizer and wp,
+    under eval_array's rule for w and every step: not finite or beyond _HUGE
+    is complex inf.  From a pole on the derivative is inf, never nan."""
+    order = np.argsort(-depth, kind="stable")
+    depth, w = depth[order], np.where(np.abs(w) <= _HUGE, w, np.inf)[order]
+    if dw is not None:
+        dw, fprime = dw[order], f.derivative()
+    for s in range(1, int(depth.max(initial=0)) + 1):
+        m = int(np.searchsorted(-depth, -s, side="right"))
+        fw = f.eval_array(w[:m])
+        if dw is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = fprime.eval_array(w[:m]) * dw[:m]
+            dw[:m] = np.where(np.isfinite(d) & np.isfinite(fw), d, np.inf)
+        w[:m] = fw
+    back = np.argsort(order)
+    return w[back] if dw is None else (w[back], dw[back])
+
+
 def homogeneous_horner(f, p, q):
     """(q^d num(p/q), q^d den(p/q)) with d = deg f: f applied to the
     homogeneous value p/q, by Horner in p with running powers of q.

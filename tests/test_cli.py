@@ -209,6 +209,31 @@ class TestExampleCommand:
         code = run(["example", "1", "--samples", "-5", "--out", str(tmp_path / "x")])
         assert code == 64
 
+    @pytest.mark.parametrize("which", ["1", "2"])
+    @pytest.mark.parametrize("dmax", ["0", "-1"])
+    def test_dmax_below_one_is_usage_error(self, tmp_path, capsys, which, dmax):
+        # a scan over no degree would report transcendence evidence from
+        # zero fits; 0 must not fall back to the default either
+        out = tmp_path / "x"
+        code = run(["example", which, f"--dmax={dmax}", "--samples", "64",
+                    "--out", str(out)])
+        assert code == 64
+        assert "--dmax" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("formats", ["xml", "JSON", "json,xml", "", "csv,"])
+    def test_unknown_format_is_usage_error(self, tmp_path, formats):
+        out = tmp_path / "x"
+        code = run(["example", "3", f"--format={formats}", "--out", str(out)])
+        assert code == 64
+        assert not out.exists()
+
+    def test_json_report_is_written_for_every_format(self, tmp_path):
+        out = tmp_path / "x"
+        assert run(["lattes", "--lattice", LATTICE_JSON, "--format", "svg",
+                    "--out", str(out)]) == 0
+        assert (out / "report.json").exists()
+
     def test_determinism_bytes(self, tmp_path):
         outs = []
         for tag in ("a", "b"):

@@ -260,6 +260,12 @@ class TestTranscendenceScan:
         assert not scan.transcendence_evidence
         assert scan.reports[3].residual < 1e-3   # degree 4 approximant
 
+    @pytest.mark.parametrize("d_max", [0, -1])
+    def test_scan_over_no_degree_is_refused(self, d_max):
+        # all() of no fits would read as transcendence evidence
+        with pytest.raises(ValueError, match="d_max"):
+            transcendence_scan(TRACE1, d_max)
+
     def test_algebraic_control_passes(self):
         scan = transcendence_scan(TRACE1, 8)
         assert scan.first_passing_degree == 4

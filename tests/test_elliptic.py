@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invarcurves.elliptic import (
-    EllipticInvariants, Lattice, eisenstein_sum_brute, invariants_from_lattice,
-    laurent_coefficients, reduce_to_fundamental, square_lattice_with_g2,
-    wp_eval, wp_prime_eval)
+    MAX_HALVINGS, EllipticInvariants, Lattice, eisenstein_sum_brute,
+    invariants_from_lattice, laurent_coefficients, reduce_to_fundamental,
+    square_lattice_with_g2, wp_eval, wp_prime_eval)
 from invarcurves.rational import chordal
 
 from conftest import scalar_wp, scalar_wp_prime, theta_wp, wp_rounding_bound
@@ -16,6 +16,7 @@ SQUARE = Lattice(2.0, 2j)
 RECT = Lattice(2.0, 2.6j)
 SKEW = Lattice(1.0, math.sqrt(2) + 1j)
 LATTICES = {"square": SQUARE, "rectangular": RECT, "skew": SKEW}
+SQUARE_G2 = invariants_from_lattice(Lattice(1.0, 1j)).g2
 
 
 def random_cell_points(lat, n, seed=7):
@@ -326,3 +327,32 @@ class TestArrayKernel:
         assert np.array_equal(np.isinf(on_sphere), [True, True, False, True])
         assert on_sphere[2] == w[2] and wp_prime_eval(inv, zs)[2] == d[2]
         assert wp_eval(inv, zs[2]).value == w[2]
+
+
+class TestDeepHalving:
+    # wp halves with the linearizer's pull-back, whose step cap raises; a
+    # finite point must never reach it
+
+    def test_unreduced_basis_needs_about_30_halvings(self):
+        # no accuracy bound here: in this basis the cell is 1e9 long and
+        # the chain's rounding is far above wp_rounding_bound's
+        lat = Lattice(1.0, 1e9 + 0.9j)
+        inv = invariants_from_lattice(lat)
+        zs = random_cell_points(lat, 20)
+        halvings = np.log2(np.abs(reduce_to_fundamental(lat, zs)) / inv.base_radius)
+        assert 25 <= np.median(halvings) and halvings.max() <= 32
+        w, d = inv.wp_prime(zs)
+        assert np.isfinite(w).all() and np.isfinite(d).all()
+        assert np.array_equal(inv.wp(zs), w)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cap_is_above_every_finite_point(self):
+        # a cell 1.7e308 long: its far points need over 1 000 halvings;
+        # the values mean nothing after so many doublings, but they must
+        # come back without an error, a warning or a nan
+        lat = Lattice(1.0, 1.7e308j)
+        zs = np.array([0.3 + 0.4999 * lat.g2, -0.4999 * lat.g2])
+        assert 1000 < math.log2(np.abs(zs).max()) + 3 < MAX_HALVINGS   # radius 1/8
+        inv = EllipticInvariants(lat, SQUARE_G2, 0.0)
+        w, d = inv.wp_prime(zs)
+        assert not np.isnan(w).any() and not np.isnan(d).any()

@@ -6,7 +6,7 @@ from invarcurves.rational import (
     DegreeCapExceeded, INFINITY, Polynomial, RationalMap, SpherePoint, chordal,
     classify_multiplier, coefficient_residual, compose, critical_points,
     fixed_points, homogeneous_horner, identity_residual, iterate, maps_equal,
-    multiplier, poly_roots,
+    multiplier, poly_roots, pull_back, push_forward,
     ATTRACTING, NEUTRAL_IRRATIONAL, NEUTRAL_RATIONAL, REPELLING, SUPERATTRACTING)
 
 from conftest import random_rational_map, random_sphere_points, scalar_call
@@ -87,6 +87,39 @@ class TestEvalArraySphere:
         for z, v in zip(zs, values):
             assert f(z) == SpherePoint(v)
             assert f(SpherePoint(z)) == SpherePoint(v)
+
+
+class TestClimb:
+    def test_pull_back_counts_steps_and_raises_past_the_cap(self):
+        z = np.array([0.5, 3.0, -40.0j, 1e300])
+        w, depth = pull_back(z[:3], 2.0, 1.0, 10)
+        assert np.array_equal(depth, [0, 2, 6])
+        assert np.array_equal(w, [0.5, 0.75, -0.625j])
+        assert np.array_equal(z[:3], [0.5, 3.0, -40.0j])     # input untouched
+        with pytest.raises(ArithmeticError, match="pull-back"):
+            pull_back(z, 2.0, 1.0, 10)
+
+    def test_push_forward_is_iteration_with_the_chain_rule(self):
+        f = RationalMap([0.25, 0, 1])          # z^2 + 1/4
+        w = np.array([0.1, 0.2 + 0.1j, 0.3])
+        depth = np.array([2, 0, 3])
+        values, derivs = push_forward(f, w, depth, np.ones(3, dtype=complex))
+        for w0, k, v, d in zip(w, depth, values, derivs):
+            x, dx = w0, 1.0
+            for _ in range(k):
+                x, dx = x * x + 0.25, 2 * x * dx
+            assert v == x and d == dx
+        assert np.array_equal(push_forward(f, w, depth), values)
+
+    def test_derivative_is_inf_from_a_pole_on(self):
+        # 1/(z - 1) sends 1 to infinity and infinity to 0, where f' = 0:
+        # the chain rule alone would give nan there
+        f = RationalMap([1], [-1, 1])
+        w = np.array([1.0, 1.0, 3.0], dtype=complex)
+        values, derivs = push_forward(f, w, np.array([1, 2, 2]), np.ones(3, dtype=complex))
+        assert np.array_equal(values[:2], [np.inf, 0.0])
+        assert np.array_equal(derivs[:2], [np.inf, np.inf])
+        assert np.allclose([values[2], derivs[2]], [-2.0, 1.0], rtol=1e-15, atol=0)
 
 
 class TestCompose:
