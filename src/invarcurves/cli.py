@@ -59,7 +59,7 @@ class RunConfig:
     formats: set = field(default_factory=lambda: set(FORMATS))
 
     def __post_init__(self):
-        if self.tol is not None and self.tol <= 0:
+        if self.tol is not None and not self.tol > 0:   # nan too
             raise UsageError("tolerance overrides must be positive")
         if self.samples <= 0 or self.order <= 0:
             raise UsageError("sample counts and orders must be positive")
@@ -85,7 +85,7 @@ class RunConfig:
 def _load_json_arg(text):
     """Inline JSON, or @path / bare path to a JSON file."""
     text = text.strip()
-    if not text.startswith(("@", "{", "[")) and not Path(text).exists():
+    if not text.startswith(("@", "{", "[")) and not _is_file(text):
         raise UsageError(f"not JSON and not a file: {text!r}")
     try:
         if not text.startswith(("{", "[")):
@@ -93,6 +93,13 @@ def _load_json_arg(text):
         return json.loads(text)
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad JSON argument: {exc}")
+
+
+def _is_file(text):
+    try:
+        return Path(text).exists()
+    except OSError:     # e.g. a name too long for the file system
+        return False
 
 
 def _map_arg(text):

@@ -192,7 +192,11 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
     a, b = _segments(emb, trace.closed)
     m = min_separation_steps
     params = trace.params
-    step = float(np.median(np.diff(params)))
+    # the median step, as np.median computes it; np.median itself would
+    # import numpy.ma, which costs a cold job more than this whole check
+    gaps = np.sort(np.diff(params))
+    half = len(gaps) // 2
+    step = float(gaps[half] if len(gaps) % 2 else (gaps[half - 1] + gaps[half]) / 2)
     min_gap = m * step
     # segment k runs from ends[k] to ends[k + 1] through path[k], path[k + 1]
     ends, path, period = params, emb, None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveTrace
+from . import curves
 from .rational import (DegreeCapExceeded, DEGREE_CAP, Polynomial, RationalMap,
                        chain_identity_residual, coefficient_residual, compose,
                        identity_residual)
@@ -124,7 +124,7 @@ class HyperbolaExample:
     """u = J(eps z) with eps = exp(2 pi i / n): u(R) is a hyperbola swept by
     (cos(theta) (x + 1/x)/2, sin(theta) (x - 1/x)/2), invariant under u o T_n."""
     map: RationalMap          # f = u o T_n
-    trace: CurveTrace         # the x > 0 branch of u(R)
+    trace: "curves.CurveTrace"  # the x > 0 branch of u(R)
     u: RationalMap
     epsilon: complex
     theta: float
@@ -160,7 +160,7 @@ def pakovich_example(n, n_samples=4001, log_range=3.0, principal=True):
     ss = np.linspace(-log_range, log_range, n_samples)
     xs = np.exp(ss)
     values = u.eval_array(xs.astype(complex))
-    trace = CurveTrace(ss, values, closed=False,
-                       source=f"halved-sum hyperbola (n={n}, positive branch)")
+    trace = curves.CurveTrace(ss, values, closed=False,
+                              source=f"halved-sum hyperbola (n={n}, positive branch)")
     return HyperbolaExample(map=f, trace=trace, u=u, epsilon=eps, theta=theta,
                             rotation_residual=rot)

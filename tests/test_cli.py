@@ -247,6 +247,35 @@ class TestExampleCommand:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+class TestArgumentValidation:
+    # a value that is neither JSON nor a file name the file system accepts
+    @pytest.mark.parametrize("argv", [
+        ["lattes", "--lattice", "x" * 300],
+        ["semiconj", "--u", "x" * 5000, "--v", SQUARE_JSON],
+        ["poincare", "--map", "x" * 5000, "--fixed-point", "1,0"],
+    ], ids=["lattice", "u", "map"])
+    def test_overlong_argument_is_usage_error(self, tmp_path, capsys, argv):
+        code = run(argv + ["--out", str(tmp_path / "x")])
+        assert code == 64
+        assert "not JSON and not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["semiconj", "--u", SQUARE_JSON, "--v", SQUARE_JSON],
+        ["lattes", "--lattice", LATTICE_JSON, "--samples", "200"],
+    ], ids=["semiconj", "lattes"])
+    def test_nan_tolerance_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert run(argv + ["--tol", "nan", "--out", str(out)]) == 64
+        assert "tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_tolerance_is_valid(self, tmp_path):
+        out = tmp_path / "x"
+        assert run(["semiconj", "--u", SQUARE_JSON, "--v", SQUARE_JSON,
+                    "--tol", "inf", "--out", str(out)]) == 0
+        assert read_json(out / "report.json")["certified"]
+
+
 class TestRuntimeDependencies:
     def test_examples_do_not_import_scipy(self, tmp_path):
         # numpy is the only runtime dependency; example 3 and example 1 at

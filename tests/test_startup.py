@@ -1,0 +1,140 @@
+"""Start-up guards: a cold job runs only the modules its subcommand needs.
+
+Each case runs a fresh interpreter, since the test process itself has long
+since loaded every module.  Submodules are registered in sys.modules as
+lazy stubs; a stub's body has not run while its type is not ModuleType.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import invarcurves
+
+SRC = str(Path(invarcurves.__file__).resolve().parents[1])
+SQUARE_JSON = json.dumps({"num": [[0, 0], [0, 0], [1, 0]], "den": [[1, 0]]})
+SHIFT_JSON = json.dumps({"num": [[1, 0], [1, 0]], "den": [[1, 0]]})
+LATTICE_JSON = json.dumps({"g1": [2.0, 0.0], "g2": [0.0, 2.0]})
+# z^2 - 2 at its repelling fixed point 2: real multiplier, so F(R) is traced
+POINCARE_ARGV = ["poincare", "--map",
+                 json.dumps({"num": [[-2, 0], [0, 0], [1, 0]], "den": [[1, 0]]}),
+                 "--fixed-point", "2,0", "--samples", "64", "--order", "20"]
+
+# the public names as the package exported them when it imported every
+# submodule eagerly; each must still resolve to its module's object
+PUBLIC = {
+    "rational": ["Polynomial", "RationalMap", "SpherePoint", "FixedPointInfo", "INFINITY",
+                 "chordal", "compose", "iterate", "fixed_points", "critical_points",
+                 "multiplier", "poly_roots", "maps_equal"],
+    "series": ["TruncatedPowerSeries", "compose_rational"],
+    "poincare": ["PoincareSeries", "solve_coefficients", "evaluate", "trace_real_axis",
+                 "injectivity_check", "multiplier_real_check"],
+    "elliptic": ["Lattice", "EllipticInvariants", "invariants_from_lattice",
+                 "reduce_to_fundamental", "wp_eval", "wp_prime_eval"],
+    "lattes": ["LattesSystem", "lattes_from_invariants", "lattes_from_lattice",
+               "verify_lattes"],
+    "semiconj": ["SemiconjTriple", "make_ritt_triple", "make_power_family", "chebyshev",
+                 "verify_joukowski_identity", "pakovich_example"],
+    "curves": ["CurveTrace", "FitReport", "trace_wp_line", "invariance_residual",
+               "circle_fit", "algebraic_fit", "transcendence_scan",
+               "lattice_commensurability", "example1_xy_check"],
+}
+
+
+def fresh(script):
+    """Run script in a new interpreter with src/ on the path; its last
+    stdout line, as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def after_job(argv, tmp_path):
+    """Exit code, executed submodules, stub submodules and whether numpy.ma
+    was imported, after one CLI job in a fresh interpreter."""
+    return fresh(f"""
+        import json, sys, types
+        from invarcurves.cli import main
+        code = main({argv + ["--out", str(tmp_path / "out")]!r})
+        mods = {{n.split(".")[1]: type(m) is types.ModuleType
+                 for n, m in sys.modules.items() if n.startswith("invarcurves.")}}
+        print(json.dumps([code, sorted(n for n, ran in mods.items() if ran),
+                          sorted(n for n, ran in mods.items() if not ran),
+                          "numpy.ma" in sys.modules]))
+    """)
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["semiconj", "--u", SQUARE_JSON, "--v", SHIFT_JSON],
+     ["cli", "rational", "semiconj"]),
+    (["semiconj", "--verify", SQUARE_JSON, SQUARE_JSON, SQUARE_JSON, "1"],
+     ["cli", "rational", "semiconj"]),
+    (["lattes", "--lattice", LATTICE_JSON, "--samples", "64"],
+     ["cli", "elliptic", "lattes", "rational"]),
+    (POINCARE_ARGV, ["cli", "curves", "elliptic", "poincare", "rational", "series"]),
+], ids=["semiconj", "verify", "lattes", "poincare"])
+def test_unused_submodules_stay_stubs(tmp_path, argv, ran):
+    code, executed, stubs, _ = after_job(argv, tmp_path)
+    assert code == 0
+    assert executed == ran
+    # the rest are still registered, as stubs, not missing from sys.modules
+    assert stubs == sorted(set(PUBLIC) - set(ran))
+
+
+def test_poincare_job_does_not_import_numpy_ma(tmp_path):
+    # np.median would import it, for one step size of the crossing scan
+    code, _, _, numpy_ma = after_job(POINCARE_ARGV, tmp_path)
+    assert code == 0
+    assert not numpy_ma
+
+
+def test_public_names_resolve_to_their_modules():
+    assert fresh(f"""
+        import importlib, json
+        import invarcurves
+        public = {PUBLIC!r}
+        bad = [name for module, names in public.items() for name in names
+               if getattr(invarcurves, name)
+               is not getattr(importlib.import_module("invarcurves." + module), name)]
+        print(json.dumps(bad))
+    """) == []
+
+
+def test_star_import_gives_every_public_name():
+    assert fresh(f"""
+        import importlib, json
+        from invarcurves import *
+        public = {PUBLIC!r}
+        bad = [name for module, names in public.items() for name in names
+               if globals().get(name)
+               is not getattr(importlib.import_module("invarcurves." + module), name)]
+        print(json.dumps(bad))
+    """) == []
+
+
+def test_submodule_attribute_is_the_registered_module():
+    assert fresh("""
+        import json, sys
+        import invarcurves
+        print(json.dumps([getattr(invarcurves, m) is sys.modules["invarcurves." + m]
+                          for m in ("poincare", "curves", "rational")]))
+    """) == [True, True, True]
+
+
+def test_unknown_name_raises_attribute_error():
+    assert fresh("""
+        import json
+        import invarcurves
+        try:
+            invarcurves.no_such_name
+        except AttributeError as exc:
+            print(json.dumps(str(exc)))
+    """) == "module 'invarcurves' has no attribute 'no_such_name'"
