@@ -24,8 +24,8 @@ for k in (1, 2, 3, 5, 10):
 
 print("\nF extends by F(lambda z) = f(F(z)):")
 for t in (math.log(2), 3.0, 10.0):
-    v = poincare.evaluate(F, t)
-    print(f"  F({t:.4f}) = {v.value.real:.10f}   exp(t) = {math.exp(t):.10f}")
+    v = poincare.evaluate(F, t).real
+    print(f"  F({t:.4f}) = {v:.10f}   exp(t) = {math.exp(t):.10f}")
 
 G = poincare.solve_coefficients(shifted, 2.0, order=30)
 print("\nf = z^2 - 2 at a = 2: multiplier", G.multiplier.real)

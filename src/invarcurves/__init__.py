@@ -14,16 +14,15 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "rational": ("Polynomial", "RationalMap", "SpherePoint", "FixedPointInfo",
-                 "INFINITY", "chordal", "compose", "iterate", "fixed_points",
-                 "critical_points", "multiplier", "poly_roots", "maps_equal"),
+    "rational": ("Polynomial", "RationalMap", "FixedPointInfo", "chordal",
+                 "compose", "iterate", "fixed_points", "multiplier", "poly_roots",
+                 "maps_equal"),
     "series": ("TruncatedPowerSeries", "compose_rational"),
     "poincare": ("PoincareSeries", "solve_coefficients", "evaluate",
                  "trace_real_axis", "injectivity_check", "multiplier_real_check"),
     "elliptic": ("Lattice", "EllipticInvariants", "invariants_from_lattice",
-                 "reduce_to_fundamental", "wp_eval", "wp_prime_eval"),
-    "lattes": ("LattesSystem", "lattes_from_invariants", "lattes_from_lattice",
-               "verify_lattes"),
+                 "reduce_to_fundamental"),
+    "lattes": ("LattesSystem", "lattes_from_invariants", "verify_lattes"),
     "semiconj": ("SemiconjTriple", "make_ritt_triple", "make_power_family",
                  "chebyshev", "verify_joukowski_identity", "pakovich_example"),
     "curves": ("CurveTrace", "FitReport", "trace_wp_line", "invariance_residual",

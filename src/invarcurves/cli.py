@@ -124,8 +124,11 @@ def _dump_json(obj):
 
 
 def _write(outdir, name, content):
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / name).write_text(content)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / name).write_text(content)
+    except OSError as exc:      # --out is a file, too long a name, unwritable
+        raise UsageError(f"cannot write {name} under --out: {exc}")
 
 
 class _StageRunner:

@@ -14,23 +14,21 @@ from fractions import Fraction
 import numpy as np
 
 from .elliptic import reduce_to_fundamental
-from .rational import SpherePoint, chordal_array, embed_points
+from .rational import _HUGE, chordal_array, embed_points
 
 CIRCLE_CLASS_TOL = 1e-8   # relative residual below which a trace is a circle/line
 SWEEP_CHUNK = 1 << 16     # (owner, index) entries per chunk of a sort-and-sweep
 
 
 class CurveTrace:
-    """Ordered samples (parameter, point) of a curve; points may be infinite."""
+    """Ordered samples (parameter, point) of a curve; a point that is not
+    finite or exceeds _HUGE in modulus is the point at infinity."""
 
-    __slots__ = ("params", "values", "infinite", "closed", "source")
+    __slots__ = ("params", "values", "closed", "source")
 
-    def __init__(self, params, values, infinite=None, closed=False, source=""):
+    def __init__(self, params, values, closed=False, source=""):
         self.params = np.asarray(params, dtype=float)
         self.values = np.asarray(values, dtype=complex)
-        if infinite is None:
-            infinite = ~np.isfinite(self.values.real) | ~np.isfinite(self.values.imag)
-        self.infinite = np.asarray(infinite, dtype=bool)
         if len(self.params) != len(self.values):
             raise ValueError("parameter/value length mismatch")
         if np.any(np.diff(self.params) <= 0):
@@ -42,12 +40,17 @@ class CurveTrace:
         return len(self.params)
 
     @property
+    def infinite(self):
+        """Mask of the samples at infinity, computed on each access."""
+        return ~(np.abs(self.values) <= _HUGE)     # nan compares false
+
+    @property
     def finite_values(self):
         return self.values[~self.infinite]
 
     def embedded(self):
         """Samples embedded on the unit sphere in R^3."""
-        return embed_points(self.values, self.infinite)
+        return embed_points(self.values)
 
     def to_csv(self):
         lines = ["parameter,re,im,is_infinite"]
@@ -57,17 +60,6 @@ class CurveTrace:
             else:
                 lines.append(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r},0")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text, closed=False, source=""):
-        rows = [ln for ln in text.strip().splitlines()[1:] if ln]
-        params, values, infinite = [], [], []
-        for ln in rows:
-            t, re, im, isinf = ln.split(",")
-            params.append(float(t))
-            values.append(complex(float(re), float(im)))
-            infinite.append(bool(int(isinf)))
-        return cls(params, values, infinite, closed=closed, source=source)
 
     def __repr__(self):
         return (f"CurveTrace(n={len(self)}, closed={self.closed}, "
@@ -231,7 +223,7 @@ def invariance_residual(f, trace, sample_indices=None):
         raise ValueError("trace too coarse for an invariance check")
     idx = np.arange(len(trace)) if sample_indices is None \
         else np.asarray(sample_indices)
-    images = f.eval_array(np.where(trace.infinite[idx], np.inf, trace.values[idx]))
+    images = f.eval_array(trace.values[idx])
     emb = embed_points(images)
     return float(np.max(points_to_polyline_distance(emb, trace)))
 
@@ -564,10 +556,9 @@ def trace_svg(trace, fit=None, fixed_points=(), size=640, pad=0.08):
                              f'r="{r / span * size:.3f}" fill="none" '
                              'stroke="#d62728" stroke-dasharray="6,4"/>')
     for p in fixed_points:
-        pt = SpherePoint.of(p)
-        if pt.is_infinite:
+        if not abs(p) <= _HUGE:
             continue
-        parts.append(f'<circle cx="{sx(pt.value.real):.3f}" '
-                     f'cy="{sy(pt.value.imag):.3f}" r="4" fill="#2ca02c"/>')
+        parts.append(f'<circle cx="{sx(p.real):.3f}" '
+                     f'cy="{sy(p.imag):.3f}" r="4" fill="#2ca02c"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -4,7 +4,6 @@ Invariants come from the weight-4/6 Eisenstein series, evaluated by exact
 row resummation over a Gauss-reduced basis (each horizontal row of lattice
 points collapses to a closed cosecant form, so the tail decays geometrically;
 the raw square-shell sums decay only cubically and cannot reach 1e-12).
-A brute-force shell summer is kept as an independent cross-check.
 
 Evaluation of wp anywhere: reduce to the fundamental cell, then climb as a
 linearizer with multiplier 2 does, since wp(2z) = f(wp(z)): halve into the
@@ -18,7 +17,7 @@ import math
 
 import numpy as np
 
-from .rational import _HUGE, RationalMap, SpherePoint, pull_back, push_forward
+from .rational import _INF, RationalMap, pull_back, push_forward
 
 ZETA4 = math.pi ** 4 / 90.0
 ZETA6 = math.pi ** 6 / 945.0
@@ -27,8 +26,6 @@ LAURENT_ORDER = 24       # c_2..c_M of wp(z) = z^-2 + sum c_k z^(2k-2)
 ROW_TOL = 1e-16          # relative cutoff for the row resummation
 DEGENERACY_TOL = 1e-12   # |Im(g2/g1)| / scale below this is a degenerate lattice
 MAX_HALVINGS = 1100      # a finite point of the frame's cell needs at most ~1030
-
-_INF = complex(math.inf, 0.0)
 
 
 class Lattice:
@@ -127,31 +124,6 @@ def _row_sums(tau):
         if abs(s4) <= ROW_TOL * abs(g4) and abs(s6) <= ROW_TOL * abs(g6):
             break
     return g4, g6
-
-
-def eisenstein_sum_brute(lattice, weight, n_max):
-    """Direct truncated lattice sum of w^(-weight) over max(|m|,|n|) <= n_max.
-
-    Shell-by-shell in integer order with compensated accumulation; this is
-    the slow reference the fast invariants are checked against.
-    """
-    g1, g2 = lattice.g1, lattice.g2
-    total = 0j
-    comp = 0j
-    for s in range(1, n_max + 1):
-        edge = np.arange(-s, s + 1)
-        m = np.concatenate([edge, edge, np.full(2 * s - 1, -s), np.full(2 * s - 1, s)])
-        n = np.concatenate([np.full(2 * s + 1, -s), np.full(2 * s + 1, s),
-                            edge[1:-1], edge[1:-1]])
-        shell = complex(np.sum((m * g1 + n * g2) ** (-float(weight))))
-        # Neumaier-style compensated add across shells
-        t = total + shell
-        if abs(total) >= abs(shell):
-            comp += (total - t) + shell
-        else:
-            comp += (shell - t) + total
-        total = t
-    return total + comp
 
 
 def laurent_coefficients(g2, g3, order=LAURENT_ORDER):
@@ -282,24 +254,6 @@ def invariants_from_lattice(lattice, laurent_order=LAURENT_ORDER):
         g2 = complex(g2.real, 0.0)
         g3 = complex(g3.real, 0.0)
     return EllipticInvariants(lattice, g2, g3, laurent_order)
-
-
-def _on_sphere(w):
-    """A SpherePoint for a scalar; for an array, complex inf wherever a
-    SpherePoint would be infinite (not finite, or beyond _HUGE)."""
-    if np.ndim(w) == 0:
-        return SpherePoint(w)
-    return np.where(np.abs(w) <= _HUGE, w, _INF)
-
-
-def wp_eval(invariants, z):
-    """wp(z) on the sphere (total: lattice points go to infinity)."""
-    return _on_sphere(invariants.wp(z))
-
-
-def wp_prime_eval(invariants, z):
-    """wp'(z) on the sphere, as wp_eval."""
-    return _on_sphere(invariants.wp_prime(z)[1])
 
 
 def square_lattice_with_g2(target_g2):

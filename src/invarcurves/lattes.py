@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 
-from .elliptic import invariants_from_lattice
 from .rational import RationalMap, chordal_array
 
 
@@ -35,10 +34,6 @@ def lattes_from_invariants(invariants):
     if f.degree != 4:
         raise ValueError("degenerate invariants: duplication map is not degree 4")
     return LattesSystem(invariants, f)
-
-
-def lattes_from_lattice(lattice):
-    return lattes_from_invariants(invariants_from_lattice(lattice))
 
 
 def verify_lattes(system, n_samples=500, seed=0):

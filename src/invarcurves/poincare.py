@@ -15,9 +15,9 @@ from numpy.polynomial import polynomial as npoly
 
 from .curves import (CurveTrace, _flat_runs, _overlapping_boxes, _segments,
                      points_to_polyline_distance, segment_pair_distance)
-from .rational import (TAU_CLASS, REPELLING, SpherePoint, chordal,
-                       chordal_array, embed_points, fixed_points, multiplier,
-                       pull_back, push_forward)
+from .rational import (_HUGE, TAU_CLASS, REPELLING, chordal, chordal_array,
+                       embed_points, fixed_points, multiplier, pull_back,
+                       push_forward)
 from .series import TruncatedPowerSeries, compose_rational
 
 TAIL_TARGET = 1e-13      # per-term series tail at the working radius
@@ -56,10 +56,9 @@ def solve_coefficients(f, a, order=60):
 
     For a fixed point at infinity conjugate the map by 1/z first.
     """
-    pt = SpherePoint.of(a)
-    if pt.is_infinite:
+    a = complex(a)
+    if not abs(a) <= _HUGE:
         raise ValueError("conjugate by 1/z first: the solver needs a finite point")
-    a = pt.value
     if chordal(f(a), a) > 1e-8:
         raise ValueError("not a fixed point within tolerance")
     lam = multiplier(f, a)
@@ -112,13 +111,13 @@ def evaluate(F, z):
     and climb back with the map itself (rational.pull_back and push_forward,
     the climb that wp shares).  Total (poles land at infinity).
 
-    An array gives a complex array with inf at infinity; a scalar gives a
-    SpherePoint.  A point that needs more than MAX_PULLBACK pull-back steps
+    An array gives a complex array, a scalar a complex; either is complex
+    inf at infinity.  A point that needs more than MAX_PULLBACK pull-back steps
     raises ArithmeticError instead of evaluating the series outside
     eval_radius.
     """
     if np.ndim(z) == 0:
-        return SpherePoint(evaluate(F, np.reshape(z, 1))[0])
+        return complex(evaluate(F, np.reshape(z, 1))[0])
     zz, depth = pull_back(np.asarray(z, dtype=complex).ravel(), F.multiplier,
                           F.eval_radius, MAX_PULLBACK)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,11 +149,10 @@ def trace_real_axis(F, t_max, n=1001):
         raise ValueError("multiplier is not real: F(R) need not be a curve")
     ts = np.linspace(-t_max, t_max, n)
     values = evaluate(F, ts)
-    infinite = np.isinf(values)
     tag = "poincare-real-axis"
     if lam.real < 0:
         tag += " (invariance certified for the second iterate)"
-    return CurveTrace(ts, values, infinite, closed=False, source=tag)
+    return CurveTrace(ts, values, closed=False, source=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +232,7 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
     # greedy suppression by distance: a taken pair (i2, j2) blocks pairs
     # within m steps in both indices, which lie in neighbouring buckets
     width = max(m, 1)
+    infinite = trace.infinite        # a property: O(n) per access
     taken = {}
     crossings = []
     for i, j, d in zip(i[order].tolist(), j[order].tolist(), d[order].tolist()):
@@ -244,7 +243,7 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
             continue
         taken.setdefault((bi, bj), []).append((i, j))
         mid = 0.5 * (trace.values[i] + trace.values[i + 1]) \
-            if not (trace.infinite[i] or trace.infinite[i + 1]) else trace.values[i]
+            if not (infinite[i] or infinite[i + 1]) else trace.values[i]
         crossings.append(Crossing(s=float(params[i]), t=float(params[j]),
                                   point=mid, distance=d))
     crossings.sort(key=lambda c: (c.s, c.t))
@@ -253,7 +252,7 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
 
 @dataclass
 class MultiplierRealness:
-    location: SpherePoint
+    location: complex
     multiplier: complex
     distance_to_trace: float
     is_real: bool
@@ -280,8 +279,8 @@ def multiplier_real_check(f, trace, max_distance=0.05, tol_imag=1e-8):
     max_distance (chordal) of the trace polyline."""
     report = MultiplierRealnessReport()
     repelling = [info for info in fixed_points(f) if info.kind == REPELLING]
-    values = [complex(i.location) for i in repelling]
-    dists = points_to_polyline_distance(embed_points(np.array(values, dtype=complex)), trace)
+    values = np.array([i.location for i in repelling], dtype=complex)
+    dists = points_to_polyline_distance(embed_points(values), trace)
     for info, dist in zip(repelling, dists.tolist()):
         lam = info.multiplier
         entry = MultiplierRealness(info.location, lam, dist,

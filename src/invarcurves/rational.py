@@ -25,6 +25,7 @@ NEUTRAL_RATIONAL = "neutral-rational"
 NEUTRAL_IRRATIONAL = "neutral-irrational-candidate"
 
 _HUGE = 1e150        # moduli beyond this are treated as the point at infinity
+_INF = complex(math.inf, 0.0)
 
 
 class DegreeCapExceeded(ValueError):
@@ -41,71 +42,22 @@ class RootConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Points on the sphere
+# Points on the sphere: complex(inf, 0) is the point at infinity, and so is
+# every value that is not finite or exceeds _HUGE in modulus
 # ---------------------------------------------------------------------------
-
-class SpherePoint:
-    """A point of the Riemann sphere: a finite complex value or infinity."""
-
-    __slots__ = ("value", "is_infinite")
-
-    def __init__(self, value=0j, is_infinite=False):
-        if is_infinite:
-            self.value = None
-            self.is_infinite = True
-        else:
-            v = complex(value)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)) or abs(v) > _HUGE:
-                self.value = None
-                self.is_infinite = True
-            else:
-                self.value = v
-                self.is_infinite = False
-
-    @classmethod
-    def infinity(cls):
-        return cls(is_infinite=True)
-
-    @classmethod
-    def of(cls, z):
-        """Coerce a complex number or SpherePoint to a SpherePoint."""
-        return z if isinstance(z, SpherePoint) else cls(z)
-
-    def __complex__(self):
-        """The value, or complex inf: the array kernels' point at infinity."""
-        return complex(math.inf, 0.0) if self.is_infinite else self.value
-
-    def __repr__(self):
-        return "SpherePoint(inf)" if self.is_infinite else f"SpherePoint({self.value!r})"
-
-    def __eq__(self, other):
-        other = SpherePoint.of(other)
-        if self.is_infinite or other.is_infinite:
-            return self.is_infinite and other.is_infinite
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.is_infinite, self.value))
-
-
-INFINITY = SpherePoint.infinity()
-
 
 def chordal(a, b):
     """Chordal distance on the Riemann sphere (symmetric, <= 2)."""
-    return float(chordal_array(complex(SpherePoint.of(a)), complex(SpherePoint.of(b))))
+    return float(chordal_array(a, b))
 
 
-def embed_points(values, infinite=None):
+def embed_points(values):
     """Vectorized sphere embedding: complex array -> (n, 3) array.
 
-    Non-finite or overly large entries map to the north pole; an optional
-    boolean mask forces entries to infinity.
+    Non-finite or overly large entries map to the north pole.
     """
     z = np.asarray(values, dtype=complex)
     bad = ~(np.abs(z) <= _HUGE)          # nan and inf compare false
-    if infinite is not None:
-        bad = bad | np.asarray(infinite, dtype=bool)
     zs = np.where(bad, 0.0, z)
     n = np.abs(zs) ** 2
     out = np.empty(z.shape + (3,))
@@ -148,11 +100,6 @@ class Polynomial:
         c = np.zeros(k + 1, dtype=complex)
         c[k] = coefficient
         return cls(c)
-
-    @classmethod
-    def from_roots(cls, roots):
-        """Monic polynomial with the given root multiset."""
-        return cls(npoly.polyfromroots(np.asarray(roots, dtype=complex)))
 
     @property
     def degree(self):
@@ -232,11 +179,6 @@ class Polynomial:
         while n > 1 and abs(c[n - 1]) <= tol:
             n -= 1
         return Polynomial(c[:n])
-
-    def allclose(self, other, rtol=1e-10):
-        other = other if isinstance(other, Polynomial) else Polynomial(other)
-        s = max(self.scale, other.scale, 1e-300)
-        return bool((self - other).scale <= rtol * s)
 
     def __repr__(self):
         return f"Polynomial({np.array2string(self.coefficients, separator=', ')})"
@@ -370,8 +312,9 @@ class RationalMap:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, z):
-        """Evaluate on the sphere; total (poles and infinity included)."""
-        return SpherePoint(self.eval_array(complex(SpherePoint.of(z)))[()])
+        """Evaluate on the sphere; total (poles and infinity included), a
+        complex that is complex inf at infinity."""
+        return complex(self.eval_array(z)[()])
 
     def eval_array(self, z):
         """Vectorized evaluation on the sphere; total (poles and infinity
@@ -606,19 +549,20 @@ def coefficient_residual(f, g):
 
 
 class FixedPointInfo:
-    """Location, multiplier and stability class of a fixed point."""
+    """Location (complex inf at infinity), multiplier and stability class
+    of a fixed point."""
 
-    __slots__ = ("location", "multiplier", "kind", "tol")
+    __slots__ = ("location", "multiplier", "kind")
 
-    def __init__(self, location, multiplier, kind, tol=TAU_CLASS):
-        self.location = SpherePoint.of(location)
+    def __init__(self, location, multiplier, kind):
+        location = complex(location)
+        self.location = location if abs(location) <= _HUGE else _INF
         self.multiplier = complex(multiplier)
         self.kind = kind
-        self.tol = tol
 
     def __repr__(self):
-        loc = "inf" if self.location.is_infinite else f"{self.location.value:.6g}"
-        return f"FixedPointInfo({loc}, multiplier={self.multiplier:.6g}, {self.kind})"
+        return (f"FixedPointInfo({self.location:.6g}, "
+                f"multiplier={self.multiplier:.6g}, {self.kind})")
 
 
 def classify_multiplier(lam, tol=TAU_CLASS):
@@ -638,12 +582,11 @@ def classify_multiplier(lam, tol=TAU_CLASS):
 
 def multiplier(f, a, tol_fixed=1e-6):
     """Multiplier of f at the fixed point a (chart w = 1/z at infinity)."""
-    pt = SpherePoint.of(a)
-    if chordal(f(pt), pt) > tol_fixed:
+    if chordal(f(a), a) > tol_fixed:
         raise ValueError("point is not fixed within tolerance")
-    if pt.is_infinite:
+    if not abs(a) <= _HUGE:
         return RationalMap.conjugate_by_inversion(f).derivative_at(0j)
-    return f.derivative_at(pt.value)
+    return f.derivative_at(a)
 
 
 def fixed_points(f, tol=TAU_CLASS):
@@ -662,26 +605,12 @@ def fixed_points(f, tol=TAU_CLASS):
     if eqn.degree >= 1:
         for root in poly_roots(eqn):
             lam = f.derivative_at(root)
-            infos.append(FixedPointInfo(root, lam, classify_multiplier(lam, tol), tol))
+            infos.append(FixedPointInfo(root, lam, classify_multiplier(lam, tol)))
     total = f.degree + 1
     if p.degree > q.degree:
         lam_inf = RationalMap.conjugate_by_inversion(f).derivative_at(0j)
         kind = classify_multiplier(lam_inf, tol)
         for _ in range(total - len(infos)):
-            infos.append(FixedPointInfo(INFINITY, lam_inf, kind, tol))
+            infos.append(FixedPointInfo(_INF, lam_inf, kind))
     return infos
 
-
-def critical_points(f):
-    """The 2 deg - 2 critical points with multiplicity (including infinity)."""
-    if f.degree < 2:
-        raise ValueError("critical points need degree >= 2")
-    w = f.derivative().num.trimmed(1e-13)
-    pts = []
-    if w.degree >= 1:
-        pts = [SpherePoint(r) for r in poly_roots(w)]
-    elif w.is_zero:
-        raise ValueError("degenerate map: identically critical")
-    n_inf = 2 * f.degree - 2 - len(pts)
-    pts.extend(INFINITY for _ in range(n_inf))
-    return pts

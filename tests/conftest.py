@@ -2,14 +2,99 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
-from invarcurves.rational import Polynomial, RationalMap
+from invarcurves.rational import _HUGE, Polynomial, RationalMap, poly_roots
+
+INF = complex(math.inf, 0.0)
 
 # property tests draw the same examples on every run; no deadline, since
 # timings on a shared machine are not part of any property
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
+
+
+def on_sphere(z):
+    """complex(z), or complex(inf, 0) where z is not finite or exceeds _HUGE
+    in modulus: the oracles' own normalisation of the point at infinity, kept
+    apart from eval_array's."""
+    v = complex(z)
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)) or abs(v) > _HUGE:
+        return INF
+    return v
+
+
+def is_infinite(z):
+    return on_sphere(z) == INF
+
+
+def poly_from_roots(roots):
+    """Monic polynomial with the given root multiset."""
+    return Polynomial(npoly.polyfromroots(np.asarray(roots, dtype=complex)))
+
+
+def poly_allclose(p, q, rtol=1e-10):
+    """Coefficientwise agreement relative to the larger coefficient scale."""
+    q = q if isinstance(q, Polynomial) else Polynomial(q)
+    return bool((p - q).scale <= rtol * max(p.scale, q.scale, 1e-300))
+
+
+def critical_points(f):
+    """The 2 deg - 2 critical points of f with multiplicity, complex inf for
+    infinity: the roots of the numerator of f', the rest at infinity."""
+    if f.degree < 2:
+        raise ValueError("critical points need degree >= 2")
+    w = f.derivative().num.trimmed(1e-13)
+    if w.is_zero:
+        raise ValueError("degenerate map: identically critical")
+    pts = [complex(r) for r in poly_roots(w)] if w.degree >= 1 else []
+    return pts + [INF] * (2 * f.degree - 2 - len(pts))
+
+
+def eisenstein_sum_brute(lattice, weight, n_max):
+    """Direct truncated lattice sum of w^(-weight) over max(|m|,|n|) <= n_max.
+
+    Shell-by-shell in integer order with compensated accumulation; this is
+    the slow reference the row-resummed invariants are checked against.
+    """
+    g1, g2 = lattice.g1, lattice.g2
+    total = 0j
+    comp = 0j
+    for s in range(1, n_max + 1):
+        edge = np.arange(-s, s + 1)
+        m = np.concatenate([edge, edge, np.full(2 * s - 1, -s), np.full(2 * s - 1, s)])
+        n = np.concatenate([np.full(2 * s + 1, -s), np.full(2 * s + 1, s),
+                            edge[1:-1], edge[1:-1]])
+        shell = complex(np.sum((m * g1 + n * g2) ** (-float(weight))))
+        # Neumaier-style compensated add across shells
+        t = total + shell
+        if abs(total) >= abs(shell):
+            comp += (total - t) + shell
+        else:
+            comp += (shell - t) + total
+        total = t
+    return total + comp
+
+
+def lattes_from_lattice(lattice):
+    from invarcurves.elliptic import invariants_from_lattice
+    from invarcurves.lattes import lattes_from_invariants
+
+    return lattes_from_invariants(invariants_from_lattice(lattice))
+
+
+def trace_from_csv(text, closed=False, source=""):
+    """The CurveTrace that CurveTrace.to_csv wrote: rows with is_infinite = 1
+    come back as complex inf."""
+    from invarcurves.curves import CurveTrace
+
+    params, values = [], []
+    for ln in text.strip().splitlines()[1:]:
+        t, re, im, isinf = ln.split(",")
+        params.append(float(t))
+        values.append(INF if int(isinf) else complex(float(re), float(im)))
+    return CurveTrace(params, values, closed=closed, source=source)
 
 
 def random_polynomial(rng, degree):
@@ -40,6 +125,26 @@ def random_sphere_points(rng, n):
     v /= np.linalg.norm(v, axis=1)[:, None]
     w = np.clip(v[:, 2], -0.999999, 0.999999)
     return (v[:, 0] + 1j * v[:, 1]) / (1.0 - w)
+
+
+# values on both sides of the one rule for infinity, not |z| <= _HUGE: nan
+# and inf parts, 1e200 and |z| = sqrt(2) _HUGE are infinite, +-_HUGE and
+# +-i _HUGE finite
+EDGE_VALUES = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, math.nan),
+               INF, complex(-math.inf, 1.0), complex(0.0, math.inf),
+               complex(2.0, -math.inf), 1e200, -1e200j, complex(_HUGE, _HUGE),
+               _HUGE, -_HUGE, 1j * _HUGE, -1j * _HUGE]
+
+
+@st.composite
+def sphere_values(draw, edges=EDGE_VALUES, max_size=40):
+    """Random points of the sphere with some of `edges` mixed in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, max_size))
+    z = random_sphere_points(rng, n).astype(complex)
+    picks = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    z[picks] = rng.choice(np.array(edges, dtype=complex), size=int(picks.sum()))
+    return z
 
 
 def mp_chain_identity_residual(left_chain, right_chain, n_points=None, dps=40):
@@ -86,50 +191,44 @@ def mp_chain_identity_residual(left_chain, right_chain, n_points=None, dps=40):
 def scalar_call(f, z):
     """Oracle for RationalMap.__call__ and eval_array: one point at a time in
     Python complex arithmetic, |z| > 1 and infinity through the reversed
-    coefficients, with a log-magnitude overflow guard."""
-    from invarcurves.rational import INFINITY, SpherePoint
-
-    pt = SpherePoint.of(z)
-    if pt.is_infinite:
+    coefficients, with a log-magnitude overflow guard; complex inf is the
+    point at infinity (on_sphere)."""
+    v = on_sphere(z)
+    if v == INF:
         return _scalar_outer_chart(f, 0j, at_infinity=True)
-    v = pt.value
     if abs(v) <= 1.0:
         pz = f.num(v)
         qz = f.den(v)
         if qz == 0:
-            return INFINITY
-        return SpherePoint(pz / qz)
+            return INF
+        return on_sphere(pz / qz)
     return _scalar_outer_chart(f, 1.0 / v, at_infinity=False)
 
 
 def _scalar_outer_chart(f, w, at_infinity):
     """Evaluate p/q at z = 1/w via reversed coefficients (|w| <= 1)."""
-    from numpy.polynomial import polynomial as npoly
-
-    from invarcurves.rational import INFINITY, SpherePoint
-
     dp, dq = f.num.degree, f.den.degree
     pr = npoly.polyval(w, f.num.coefficients[::-1])
     qr = npoly.polyval(w, f.den.coefficients[::-1])
     k = dp - dq
     if qr == 0:
-        return INFINITY
+        return INF
     ratio = pr / qr
     if at_infinity:
         if k > 0:
-            return INFINITY if ratio != 0 else SpherePoint(0j)
+            return INF if ratio != 0 else 0j
         if k < 0:
-            return SpherePoint(0j)
-        return SpherePoint(ratio)
+            return 0j
+        return on_sphere(ratio)
     # finite z with |z| > 1: value = ratio * z^k, guarded against overflow
     if ratio == 0:
-        return SpherePoint(0j)
+        return 0j
     log_mag = math.log(abs(ratio)) - k * math.log(abs(w))
     if log_mag > 320:
-        return INFINITY
+        return INF
     if log_mag < -320:
-        return SpherePoint(0j)
-    return SpherePoint(ratio * (1.0 / w) ** k)
+        return 0j
+    return on_sphere(ratio * (1.0 / w) ** k)
 
 
 def series_horner_compose(f, s):
@@ -167,10 +266,7 @@ def scalar_evaluate(F, z, nudge=None):
     nudge = (s, eta) multiplies the series argument (s = -1), or the value
     after s push-forward steps (0 <= s <= k), by 1 + eta.
     """
-    from numpy.polynomial import polynomial as npoly
-
     from invarcurves.poincare import MAX_PULLBACK
-    from invarcurves.rational import SpherePoint
 
     s_nudge, eta = nudge or (None, 0.0)
     z = complex(z)
@@ -182,10 +278,10 @@ def scalar_evaluate(F, z, nudge=None):
         k += 1
     if s_nudge == -1:
         z *= 1 + eta
-    w = SpherePoint(complex(npoly.polyval(z, F.coefficients)))
+    w = on_sphere(npoly.polyval(z, F.coefficients))
     for s in range(k + 1):
-        if s == s_nudge and not w.is_infinite:
-            w = SpherePoint(w.value * (1 + eta))
+        if s == s_nudge and w != INF:
+            w = on_sphere(w * (1 + eta))
         if s < k:
             w = scalar_call(F.map, w)
     return w, k

@@ -269,6 +269,17 @@ class TestArgumentValidation:
         assert "tolerance" in capsys.readouterr().err
         assert not out.exists()
 
+    # --out naming an existing file, and a name too long for the file system
+    @pytest.mark.parametrize("name, existing", [("f.json", True), ("x" * 300, False)],
+                             ids=["file", "overlong"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, name, existing):
+        out = tmp_path / name
+        if existing:
+            out.write_text("{}")
+        assert run(["lattes", "--lattice", LATTICE_JSON, "--samples", "64",
+                    "--out", str(out)]) == 64
+        assert "cannot write" in capsys.readouterr().err
+
     def test_infinite_tolerance_is_valid(self, tmp_path):
         out = tmp_path / "x"
         assert run(["semiconj", "--u", SQUARE_JSON, "--v", SQUARE_JSON,

@@ -15,7 +15,7 @@ from invarcurves.lattes import lattes_from_invariants
 from invarcurves.rational import RationalMap, embed_points, iterate
 from invarcurves.semiconj import pakovich_example
 
-from conftest import dense_polyline_distance
+from conftest import dense_polyline_distance, is_infinite, sphere_values, trace_from_csv
 
 SQUARE = Lattice(2.0, 2j)
 INV1 = invariants_from_lattice(SQUARE)
@@ -41,7 +41,7 @@ class TestCurveTrace:
 
     def test_csv_round_trip(self):
         tr = TRACE1
-        back = CurveTrace.from_csv(tr.to_csv(), closed=True, source=tr.source)
+        back = trace_from_csv(tr.to_csv(), closed=True, source=tr.source)
         assert np.array_equal(back.params, tr.params)
         assert np.array_equal(back.values[~back.infinite], tr.values[~tr.infinite])
         assert np.array_equal(back.infinite, tr.infinite)
@@ -56,7 +56,7 @@ class TestCurveTrace:
         vals = np.array([1.0 + 0j, complex(np.inf, 0.0), -1.0 + 0j])
         tr = CurveTrace(t, vals)
         assert list(tr.infinite) == [False, True, False]
-        back = CurveTrace.from_csv(tr.to_csv())
+        back = trace_from_csv(tr.to_csv())
         assert list(back.infinite) == [False, True, False]
         emb = tr.embedded()
         assert np.allclose(emb[1], [0.0, 0.0, 1.0])   # north pole
@@ -69,6 +69,20 @@ class TestCurveTrace:
         vals[0] = vals[-1] = complex(np.inf, 0.0)   # close up through infinity
         tr = CurveTrace(t, vals)
         assert invariance_residual(f, tr) < 2e-3  # polyline resolution bound
+
+
+class TestOneRuleForInfinity:
+    @given(values=sphere_values())
+    def test_mask_pole_csv_and_finite_values_agree(self, values):
+        tr = CurveTrace(np.arange(len(values), dtype=float), values)
+        expected = np.array([is_infinite(v) for v in values])
+        assert np.array_equal(tr.infinite, expected)
+        assert np.array_equal(np.all(tr.embedded() == (0.0, 0.0, 1.0), axis=1), expected)
+        rows = [ln.split(",") for ln in tr.to_csv().splitlines()[1:]]
+        assert [r[3] == "1" for r in rows] == expected.tolist()
+        assert all(r[1:3] == ["0.0", "0.0"] for r, inf in zip(rows, expected) if inf)
+        assert np.array_equal(tr.finite_values, values[~expected])
+        assert np.array_equal(trace_from_csv(tr.to_csv()).finite_values, tr.finite_values)
 
 
 class TestTraceWpLine:

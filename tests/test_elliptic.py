@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invarcurves.elliptic import (
-    MAX_HALVINGS, EllipticInvariants, Lattice, eisenstein_sum_brute,
-    invariants_from_lattice, laurent_coefficients, reduce_to_fundamental,
-    square_lattice_with_g2, wp_eval, wp_prime_eval)
+    MAX_HALVINGS, EllipticInvariants, Lattice, invariants_from_lattice,
+    laurent_coefficients, reduce_to_fundamental, square_lattice_with_g2)
 from invarcurves.rational import chordal
 
-from conftest import scalar_wp, scalar_wp_prime, theta_wp, wp_rounding_bound
+from conftest import (INF, eisenstein_sum_brute, is_infinite, scalar_wp, scalar_wp_prime,
+                      theta_wp, wp_rounding_bound)
 
 SQUARE = Lattice(2.0, 2j)
 RECT = Lattice(2.0, 2.6j)
@@ -130,8 +130,8 @@ class TestWpEvaluation:
 
     def test_pole_at_lattice_points(self):
         inv = invariants_from_lattice(SQUARE)
-        assert wp_eval(inv, 0.0).is_infinite
-        assert wp_eval(inv, SQUARE.g1 + SQUARE.g2).is_infinite
+        assert inv.wp(0.0) == INF
+        assert inv.wp(SQUARE.g1 + SQUARE.g2) == INF
 
     @pytest.mark.parametrize("name", list(LATTICES))
     def test_evenness(self, name):
@@ -191,10 +191,11 @@ class TestLemniscaticHelper:
 
 class TestWpPrimeEval:
     def test_sphere_wrapper(self):
+        # wp_prime on the sphere: complex inf at lattice points
         inv = invariants_from_lattice(SQUARE)
-        assert wp_prime_eval(inv, 0.0).is_infinite
-        v = wp_prime_eval(inv, 0.3 + 0.2j)
-        assert not v.is_infinite
+        assert inv.wp_prime(0.0)[1] == INF
+        v = inv.wp_prime(0.3 + 0.2j)[1]
+        assert type(v) is complex and not is_infinite(v)
 
 
 # the shapes of the benchmark's period lattices: <s, s (x + ih)>, x in [0, 1),
@@ -320,13 +321,13 @@ class TestArrayKernel:
         assert np.max(np.abs(inv.wp(zs) - ref) / np.abs(ref)) <= 1e-13
 
     def test_sphere_wrappers_on_arrays(self):
+        # wp and wp' on the sphere: complex inf at lattice points and at 1e-80
         inv = BENCH_INV["rect"]
         zs = np.array([0.0, inv.lattice.g1, 0.3 + 0.2j, 1e-80])
         w, d = inv.wp_prime(zs)
-        on_sphere = wp_eval(inv, zs)
-        assert np.array_equal(np.isinf(on_sphere), [True, True, False, True])
-        assert on_sphere[2] == w[2] and wp_prime_eval(inv, zs)[2] == d[2]
-        assert wp_eval(inv, zs[2]).value == w[2]
+        assert np.array_equal(w == INF, [True, True, False, True])
+        assert np.array_equal(d == INF, [True, True, False, True])
+        assert inv.wp(zs)[2] == w[2] and inv.wp(zs[2]) == w[2]
 
 
 class TestDeepHalving:

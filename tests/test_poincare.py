@@ -1,21 +1,24 @@
+import cmath
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from invarcurves import curves, elliptic, lattes, poincare
 from invarcurves.curves import CurveTrace
-from invarcurves.rational import RationalMap, chordal, fixed_points, REPELLING
+from invarcurves.rational import _HUGE, RationalMap, chordal, fixed_points, REPELLING
 
-from conftest import (evaluate_rounding_bound, quadratic_injectivity_check,
-                      random_rational_map, scalar_evaluate)
+from conftest import (EDGE_VALUES, INF, evaluate_rounding_bound, is_infinite,
+                      quadratic_injectivity_check, random_rational_map, scalar_evaluate,
+                      sphere_values)
 
 SQUARE = RationalMap([0, 0, 1])          # linearizer at 1 is exp
 SHIFTED = RationalMap([-2, 0, 1])        # linearizer at 2 is 2 cosh(sqrt z)
 NEAR_NEUTRAL = RationalMap([0, 1.001, -1])   # multiplier 1.001 at 0
+EXP = poincare.solve_coefficients(SQUARE, 1.0, order=40)
 
 
 def cosh_oracle(t):
@@ -39,9 +42,9 @@ class TestSolve:
     def test_constant_term_is_fixed_point(self, rng):
         f = random_rational_map(rng, 2)
         for fp in fixed_points(f):
-            if fp.kind == REPELLING and not fp.location.is_infinite:
-                F = poincare.solve_coefficients(f, fp.location.value, order=12)
-                assert F.coefficients[0] == fp.location.value
+            if fp.kind == REPELLING and not is_infinite(fp.location):
+                F = poincare.solve_coefficients(f, fp.location, order=12)
+                assert F.coefficients[0] == fp.location
                 break
 
     def test_order_stability(self):
@@ -77,9 +80,8 @@ class TestSolve:
             poincare.solve_coefficients(SQUARE, 0.0)
 
     def test_rejects_infinity(self):
-        from invarcurves.rational import SpherePoint
         with pytest.raises(ValueError, match="conjugate"):
-            poincare.solve_coefficients(SQUARE, SpherePoint.infinity())
+            poincare.solve_coefficients(SQUARE, INF)
 
 
 class TestEvaluate:
@@ -90,7 +92,7 @@ class TestEvaluate:
 
     def test_zero_is_fixed_point(self):
         F = poincare.solve_coefficients(SHIFTED, 2.0, order=20)
-        assert poincare.evaluate(F, 0.0).value == 2.0
+        assert poincare.evaluate(F, 0.0) == 2.0
 
     def test_defining_identity_on_reals(self):
         F = poincare.solve_coefficients(SHIFTED, 2.0, order=40)
@@ -104,11 +106,20 @@ class TestEvaluate:
         for t in np.linspace(-30, 8, 25):
             assert chordal(poincare.evaluate(F, t), cosh_oracle(t)) < 1e-8
 
+    # the edge values without an infinite part, which is no point of C
+    @settings(max_examples=20)   # 1e200 takes ~660 pull-back steps
+    @given(zs=sphere_values([e for e in EDGE_VALUES if not cmath.isinf(e)], max_size=6))
+    def test_scalar_is_a_plain_complex(self, zs):
+        for z in zs:
+            v = poincare.evaluate(EXP, z)
+            assert type(v) is complex and (v == INF or abs(v) <= _HUGE)   # never nan
+            assert v == poincare.evaluate(EXP, np.array([z]))[0]
+
     def test_near_neutral_within_pullback_cap(self):
         # 6 793 pull-back steps, below the cap
         F = poincare.solve_coefficients(NEAR_NEUTRAL, 0.0)
         v = poincare.evaluate(F, 0.5)
-        assert abs(v.value - 0.0009980163425301024) <= 1e-13 * 0.000998
+        assert abs(v - 0.0009980163425301024) <= 1e-13 * 0.000998
 
     def test_near_neutral_beyond_pullback_cap_raises(self):
         # F(10) ~ 1e-3, but reaching the working disc takes more than
@@ -168,14 +179,14 @@ class TestFunctionalEquationResidual:
             target = None
             try:
                 for fp in fixed_points(f):
-                    if fp.kind == REPELLING and not fp.location.is_infinite:
+                    if fp.kind == REPELLING and not is_infinite(fp.location):
                         target = fp
                         break
             except Exception:
                 continue
             if target is None:
                 continue
-            F = poincare.solve_coefficients(f, target.location.value, order=40)
+            F = poincare.solve_coefficients(f, target.location, order=40)
             rho = F.radius_estimate
             zs = rho * 8 * rng.uniform(0.125, 1.0, 50) \
                 * np.exp(2j * np.pi * rng.uniform(size=50))
@@ -233,7 +244,7 @@ class TestTraceRealAxis:
     def test_complex_multiplier_rejected(self):
         f = RationalMap([0.3j, 0, 1])     # z^2 + 0.3i has non-real multipliers
         fp = next(p for p in fixed_points(f) if p.kind == REPELLING)
-        F = poincare.solve_coefficients(f, fp.location.value, order=10)
+        F = poincare.solve_coefficients(f, fp.location, order=10)
         with pytest.raises(ValueError, match="real"):
             poincare.trace_real_axis(F, 1.0, 11)
 

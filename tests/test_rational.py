@@ -3,18 +3,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invarcurves.rational import (
-    DegreeCapExceeded, INFINITY, Polynomial, RationalMap, SpherePoint, chordal,
-    classify_multiplier, coefficient_residual, compose, critical_points,
+    _HUGE, DegreeCapExceeded, Polynomial, RationalMap, chordal,
+    classify_multiplier, coefficient_residual, compose,
     fixed_points, homogeneous_horner, identity_residual, iterate, maps_equal,
     multiplier, poly_roots, pull_back, push_forward,
     ATTRACTING, NEUTRAL_IRRATIONAL, NEUTRAL_RATIONAL, REPELLING, SUPERATTRACTING)
 
-from conftest import random_rational_map, random_sphere_points, scalar_call
+from conftest import (INF, critical_points, is_infinite, on_sphere, poly_allclose,
+                      poly_from_roots, random_rational_map, random_sphere_points,
+                      scalar_call, sphere_values)
 
 
-class TestSpherePoint:
+class TestPointAtInfinity:
     def test_chordal_symmetric_bounded(self, rng):
-        pts = [SpherePoint(z) for z in random_sphere_points(rng, 20)] + [INFINITY]
+        pts = list(random_sphere_points(rng, 20)) + [INF]
         for a in pts:
             for b in pts:
                 d1, d2 = chordal(a, b), chordal(b, a)
@@ -23,33 +25,51 @@ class TestSpherePoint:
                 assert (d1 == 0.0) == (a == b)
 
     def test_huge_values_collapse_to_infinity(self):
-        assert SpherePoint(1e200).is_infinite
-        assert chordal(1e200, INFINITY) == 0.0
+        assert is_infinite(1e200)
+        assert chordal(1e200, INF) == 0.0
+
+    @given(zs=sphere_values())
+    def test_scalar_entry_points_give_plain_numbers(self, zs):
+        f = RationalMap([1, 0, 1], [0, -4, 0, 4])     # poles at 0 and +-1
+        translation = RationalMap([1, 1])            # fixes infinity alone, multiplier 1
+        for z in zs:
+            v = f(z)
+            assert type(v) is complex and (v == INF or abs(v) <= _HUGE)   # never nan
+            d = chordal(z, v)
+            assert type(d) is float and 0.0 <= d <= 2.0
+            assert chordal(z, on_sphere(z)) == 0.0
+            assert (chordal(z, INF) == 0.0) == is_infinite(z)
+            if is_infinite(z) or abs(z) > 1e4:   # random points stay below 1.5e3
+                lam = multiplier(translation, z)
+                assert isinstance(lam, complex) and lam == 1.0
+            else:
+                with pytest.raises(ValueError, match="not fixed"):
+                    multiplier(translation, z)
 
 
 class TestEval:
     def test_square_at_three(self):
         f = RationalMap([0, 0, 1])
-        assert f(3).value == 9
+        assert f(3) == 9
 
     def test_square_at_infinity(self):
         f = RationalMap([0, 0, 1])
-        assert f(INFINITY).is_infinite
+        assert f(INF) == INF
 
     def test_pole_goes_to_infinity(self):
         # denominator root at z = 1, numerator z^2+1 nonzero there
         f = RationalMap([1, 0, 1], [0, -4, 0, 4])
-        assert f(1.0).is_infinite
+        assert f(1.0) == INF
         # substitution check just off the pole
         near = f(1.0 + 1e-8)
-        assert not near.is_infinite and abs(near.value) > 1e6
+        assert not is_infinite(near) and abs(near) > 1e6
 
     def test_eval_array_matches_scalar(self, rng):
         f = random_rational_map(rng, 3)
         zs = random_sphere_points(rng, 50)
         arr = f.eval_array(zs)
         for z, v in zip(zs, arr):
-            assert chordal(v, scalar_call(f, z)) < 1e-9  # SpherePoint coerces complex inf
+            assert chordal(v, scalar_call(f, z)) < 1e-9
 
 
 @st.composite
@@ -60,7 +80,7 @@ def maps_with_exact_poles(draw):
     poles = rng.integers(-12, 13, size=draw(st.integers(0, 3))) / 8.0
     num_deg = draw(st.integers(0, 4))
     num = rng.normal(size=num_deg + 1) + 1j * rng.normal(size=num_deg + 1)
-    f = RationalMap(num, Polynomial.from_roots(poles) if len(poles) else [1.0])
+    f = RationalMap(num, poly_from_roots(poles) if len(poles) else [1.0])
     special = [np.inf, complex(np.inf, np.inf), 1e200, 1e-200, 0.0]
     zs = np.concatenate([poles, special, random_sphere_points(rng, 20),
                          1e8 * random_sphere_points(rng, 5)]).astype(complex)
@@ -85,8 +105,9 @@ class TestEvalArraySphere:
         f, zs = case
         values = f.eval_array(zs)
         for z, v in zip(zs, values):
-            assert f(z) == SpherePoint(v)
-            assert f(SpherePoint(z)) == SpherePoint(v)
+            fz = f(z)
+            assert type(fz) is complex and fz == v
+            assert f(on_sphere(z)) == v
 
 
 class TestClimb:
@@ -126,7 +147,7 @@ class TestCompose:
     def test_square_after_shift(self):
         f = RationalMap([0, 0, 1])
         g = RationalMap([1, 1])
-        assert compose(f, g).num.allclose(Polynomial([1, 2, 1]))
+        assert poly_allclose(compose(f, g).num, Polynomial([1, 2, 1]))
 
     def test_joukowski_after_square(self):
         # (z^2+1)/(2z) composed with z^2 gives (z^4+1)/(2z^2)
@@ -189,11 +210,11 @@ class TestPower:
 class TestIterate:
     def test_pow_three(self):
         f = RationalMap([0, 0, 1])
-        assert iterate(f, 3).num.allclose(Polynomial.monomial(8))
+        assert poly_allclose(iterate(f, 3).num, Polynomial.monomial(8))
 
     def test_quadratic_twice(self):
         f = RationalMap([-2, 0, 1])
-        assert iterate(f, 2).num.allclose(Polynomial([2, 0, -4, 0, 1]))
+        assert poly_allclose(iterate(f, 2).num, Polynomial([2, 0, -4, 0, 1]))
 
     def test_once_is_itself(self, rng):
         f = random_rational_map(rng, 3)
@@ -223,7 +244,7 @@ class TestRoots:
         assert len(r) == 3 and np.max(np.abs(r)) < 1e-6
 
     def test_shifted_multiple_root(self):
-        p = Polynomial.from_roots([1.0, 1.0, 1.0])
+        p = poly_from_roots([1.0, 1.0, 1.0])
         r = poly_roots(p)
         assert len(r) == 3
         assert np.max(np.abs(np.asarray(r) - 1.0)) < 1e-3
@@ -233,11 +254,11 @@ class TestRoots:
         for _ in range(10):
             deg = int(rng.integers(2, 13))
             roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
-            p = Polynomial.from_roots(roots)
+            p = poly_from_roots(roots)
             found = poly_roots(p)
             assert len(found) == deg
-            rebuilt = Polynomial.from_roots(found)
-            assert rebuilt.allclose(p, rtol=1e-8)
+            rebuilt = poly_from_roots(found)
+            assert poly_allclose(rebuilt, p, rtol=1e-8)
 
     def test_oracle_agreement(self, rng):
         # companion-matrix eigenvalues as the independent reference
@@ -250,7 +271,7 @@ class TestRoots:
 class TestFixedPoints:
     def test_square(self):
         info = {(
-            "inf" if fp.location.is_infinite else round(fp.location.value.real)):
+            "inf" if is_infinite(fp.location) else round(fp.location.real)):
             fp for fp in fixed_points(RationalMap([0, 0, 1]))}
         assert info[0].kind == SUPERATTRACTING
         assert abs(info[1].multiplier - 2) < 1e-12 and info[1].kind == REPELLING
@@ -260,7 +281,7 @@ class TestFixedPoints:
         fps = fixed_points(RationalMap([-2, 0, 1]))
         by_loc = {}
         for fp in fps:
-            key = "inf" if fp.location.is_infinite else round(fp.location.value.real)
+            key = "inf" if is_infinite(fp.location) else round(fp.location.real)
             by_loc[key] = fp
         assert abs(by_loc[2].multiplier - 4) < 1e-12 and by_loc[2].kind == REPELLING
         assert abs(by_loc[-1].multiplier + 2) < 1e-12 and by_loc[-1].kind == REPELLING
@@ -269,7 +290,7 @@ class TestFixedPoints:
     def test_inversion_neutral(self):
         fps = fixed_points(RationalMap([1], [0, 1]))
         assert len(fps) == 2
-        locs = sorted(fp.location.value.real for fp in fps)
+        locs = sorted(fp.location.real for fp in fps)
         assert abs(locs[0] + 1) < 1e-12 and abs(locs[1] - 1) < 1e-12
         for fp in fps:
             assert abs(fp.multiplier + 1) < 1e-12
@@ -288,18 +309,18 @@ class TestFixedPoints:
 class TestCriticalPoints:
     def test_square(self):
         pts = critical_points(RationalMap([0, 0, 1]))
-        finite = sorted(p.value.real for p in pts if not p.is_infinite)
+        finite = sorted(p.real for p in pts if not is_infinite(p))
         assert finite == [0.0]
-        assert sum(p.is_infinite for p in pts) == 1
+        assert sum(is_infinite(p) for p in pts) == 1
 
     def test_shifted_square(self):
         pts = critical_points(RationalMap([-2, 0, 1]))
-        finite = [p for p in pts if not p.is_infinite]
-        assert len(finite) == 1 and abs(finite[0].value) < 1e-12
+        finite = [p for p in pts if not is_infinite(p)]
+        assert len(finite) == 1 and abs(finite[0]) < 1e-12
 
     def test_joukowski(self):
         pts = critical_points(RationalMap([1, 0, 1], [0, 2]))
-        vals = sorted(p.value.real for p in pts)
+        vals = sorted(p.real for p in pts)
         assert len(pts) == 2
         assert abs(vals[0] + 1) < 1e-10 and abs(vals[1] - 1) < 1e-10
 
@@ -314,7 +335,7 @@ class TestMultiplier:
         f = RationalMap([0, 0, 1])
         assert abs(multiplier(f, 1.0) - 2) < 1e-12
         assert abs(multiplier(f, 0.0)) < 1e-12
-        assert abs(multiplier(f, INFINITY)) < 1e-12
+        assert abs(multiplier(f, INF)) < 1e-12
 
     def test_not_fixed(self):
         with pytest.raises(ValueError):
@@ -332,12 +353,12 @@ class TestMultiplier:
 class TestCanonicalForm:
     def test_common_factor_removed(self):
         # (z-1)(z-2) / (z-1)(z+3) reduces to (z-2)/(z+3)
-        num = Polynomial.from_roots([1.0, 2.0])
-        den = Polynomial.from_roots([1.0, -3.0])
+        num = poly_from_roots([1.0, 2.0])
+        den = poly_from_roots([1.0, -3.0])
         f = RationalMap(num, den)
         assert f.degree == 1
-        assert f.num.allclose(Polynomial([-2, 1]))
-        assert f.den.allclose(Polynomial([3, 1]))
+        assert poly_allclose(f.num, Polynomial([-2, 1]))
+        assert poly_allclose(f.den, Polynomial([3, 1]))
 
     def test_monic_denominator(self, rng):
         f = random_rational_map(rng, 3)

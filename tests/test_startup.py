@@ -25,19 +25,16 @@ POINCARE_ARGV = ["poincare", "--map",
                  json.dumps({"num": [[-2, 0], [0, 0], [1, 0]], "den": [[1, 0]]}),
                  "--fixed-point", "2,0", "--samples", "64", "--order", "20"]
 
-# the public names as the package exported them when it imported every
-# submodule eagerly; each must still resolve to its module's object
+# the public names; each must resolve to its module's object
 PUBLIC = {
-    "rational": ["Polynomial", "RationalMap", "SpherePoint", "FixedPointInfo", "INFINITY",
-                 "chordal", "compose", "iterate", "fixed_points", "critical_points",
-                 "multiplier", "poly_roots", "maps_equal"],
+    "rational": ["Polynomial", "RationalMap", "FixedPointInfo", "chordal", "compose",
+                 "iterate", "fixed_points", "multiplier", "poly_roots", "maps_equal"],
     "series": ["TruncatedPowerSeries", "compose_rational"],
     "poincare": ["PoincareSeries", "solve_coefficients", "evaluate", "trace_real_axis",
                  "injectivity_check", "multiplier_real_check"],
     "elliptic": ["Lattice", "EllipticInvariants", "invariants_from_lattice",
-                 "reduce_to_fundamental", "wp_eval", "wp_prime_eval"],
-    "lattes": ["LattesSystem", "lattes_from_invariants", "lattes_from_lattice",
-               "verify_lattes"],
+                 "reduce_to_fundamental"],
+    "lattes": ["LattesSystem", "lattes_from_invariants", "verify_lattes"],
     "semiconj": ["SemiconjTriple", "make_ritt_triple", "make_power_family", "chebyshev",
                  "verify_joukowski_identity", "pakovich_example"],
     "curves": ["CurveTrace", "FitReport", "trace_wp_line", "invariance_residual",
@@ -127,6 +124,24 @@ def test_submodule_attribute_is_the_registered_module():
         print(json.dumps([getattr(invarcurves, m) is sys.modules["invarcurves." + m]
                           for m in ("poincare", "curves", "rational")]))
     """) == [True, True, True]
+
+
+def test_removed_names_raise_attribute_error():
+    # complex(inf, 0) replaced SpherePoint and INFINITY, inv.wp and
+    # inv.wp_prime the sphere wrappers; the rest were used only by tests
+    removed = ["SpherePoint", "INFINITY", "critical_points", "wp_eval", "wp_prime_eval",
+               "lattes_from_lattice"]
+    assert fresh(f"""
+        import json
+        import invarcurves
+        missing = []
+        for name in {removed!r}:
+            try:
+                getattr(invarcurves, name)
+            except AttributeError:
+                missing.append(name)
+        print(json.dumps(missing))
+    """) == removed
 
 
 def test_unknown_name_raises_attribute_error():
