@@ -9,11 +9,10 @@ curve is produced by elliptic functions.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import reduce_to_fundamental
+from . import elliptic
 from .rational import _HUGE, chordal_array, embed_points
 
 CIRCLE_CLASS_TOL = 1e-8   # relative residual below which a trace is a circle/line
@@ -53,12 +52,11 @@ class CurveTrace:
         return embed_points(self.values)
 
     def to_csv(self):
+        rows = zip(self.params.tolist(), self.values.real.tolist(),
+                   self.values.imag.tolist(), self.infinite.tolist())
         lines = ["parameter,re,im,is_infinite"]
-        for t, v, isinf in zip(self.params, self.values, self.infinite):
-            if isinf:
-                lines.append(f"{float(t)!r},0.0,0.0,1")
-            else:
-                lines.append(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r},0")
+        lines += [f"{t!r},0.0,0.0,1" if isinf else f"{t!r},{re!r},{im!r},0"
+                  for t, re, im, isinf in rows]
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
@@ -184,7 +182,7 @@ def trace_wp_line(invariants, offset, t_range=None, n=1024, source=None):
     """
     offset = complex(offset)
     lat = invariants.lattice
-    rep = reduce_to_fundamental(lat, offset)
+    rep = elliptic.reduce_to_fundamental(lat, offset)
     if abs(rep.imag) <= 1e-12 * abs(lat.g2):
         raise ValueError("offset is lattice-equivalent to the real axis: "
                          "the traced line runs through poles or degenerates")
@@ -435,6 +433,8 @@ def lattice_commensurability(lat1, lat2, q_max=1000, tol=1e-9):
     each of the four coordinates for a rational p/q, q <= q_max, within tol
     (continued-fraction convergents via Fraction.limit_denominator).
     """
+    from fractions import Fraction   # only here: a cold job need not load it
+
     m = lat1.basis_matrix()
     rhs = lat2.basis_matrix()
     coords = np.linalg.solve(m, rhs)   # columns: lat2 generators in lat1 basis
@@ -514,7 +514,8 @@ def example1_xy_check(invariants, offset, n_samples=100, seed=0):
 def trace_svg(trace, fit=None, fixed_points=(), size=640, pad=0.08):
     """Static SVG of a trace with an optional fitted circle overlay and
     fixed-point markers.  Deterministic output (no timestamps)."""
-    pts = trace.finite_values
+    finite = ~trace.infinite
+    pts = trace.values[finite]
     if len(pts) == 0:
         raise ValueError("nothing finite to draw")
     x0, x1 = float(pts.real.min()), float(pts.real.max())
@@ -533,14 +534,10 @@ def trace_svg(trace, fit=None, fixed_points=(), size=640, pad=0.08):
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">',
              f'<rect width="{size}" height="{size}" fill="white"/>']
-    path = []
-    pen = "M"
-    for v, isinf in zip(trace.values, trace.infinite):
-        if isinf:
-            pen = "M"
-            continue
-        path.append(f"{pen}{sx(v.real):.3f},{sy(v.imag):.3f}")
-        pen = "L"
+    # a sample is drawn from the previous one when that one is finite too
+    pens = np.where(np.append(False, finite[:-1])[finite], "L", "M").tolist()
+    path = [f"{pen}{x:.3f},{y:.3f}"
+            for pen, x, y in zip(pens, sx(pts.real).tolist(), sy(pts.imag).tolist())]
     if trace.closed and path:
         path.append("Z")
     parts.append(f'<path d="{" ".join(path)}" fill="none" stroke="#1f77b4" '

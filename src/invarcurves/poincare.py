@@ -3,22 +3,20 @@
 For a fixed point a with multiplier lambda, |lambda| > 1, the function F
 with F(lambda z) = f(F(z)), F(0) = a, F'(0) = 1 exists and extends to all
 of C through its own functional equation.  The coefficients satisfy a
-triangular linear system: once c_1..c_(k-1) are known, matching the order-k
-coefficient of f(F(z)) against lambda^k c_k determines c_k with the never-
-vanishing pivot lambda^k - lambda.
+triangular linear system: for f = P/Q, once c_1..c_(k-1) are known, the
+order-k coefficients of Q(F(z)) F(lambda z) and P(F(z)) are linear in c_k,
+with the never-vanishing pivot Q(a) (lambda^k - lambda).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .curves import (CurveTrace, _flat_runs, _overlapping_boxes, _segments,
                      points_to_polyline_distance, segment_pair_distance)
 from .rational import (_HUGE, TAU_CLASS, REPELLING, chordal, chordal_array,
-                       embed_points, fixed_points, multiplier, pull_back,
+                       embed_points, fixed_points, multiplier, polyval, pull_back,
                        push_forward)
-from .series import TruncatedPowerSeries, compose_rational
 
 TAIL_TARGET = 1e-13      # per-term series tail at the working radius
 CANCEL_CAP = 10.0        # largest intermediate Horner term, in units of scale
@@ -65,15 +63,32 @@ def solve_coefficients(f, a, order=60):
     if abs(lam) <= 1.0 + TAU_CLASS:
         raise ValueError(f"fixed point is not repelling (|lambda| = {abs(lam):.6g})")
 
-    c = np.zeros(order + 1, dtype=complex)
-    c[0] = a
-    c[1] = 1.0
+    # Online solve of Q(F(z)) F(lambda z) = P(F(z)), f = P/Q: row j of pw is
+    # F^j (row 1 is c), qf is Q(F) and g is F(lambda z), known through order
+    # k - 1.  Order k of both sides is first summed with c_k = 0; c_k adds
+    # j a^(j-1) c_k to F^j, so c_k Q(a) (lambda^k - lambda) to left - right.
+    p, q = f.num.coefficients, f.den.coefficients
+    d = max(len(p), len(q))
+    pw = np.zeros((d, order + 1), dtype=complex)
+    pw[:, 0] = a ** np.arange(d)
+    pw[1:, 1] = np.arange(1, d) * pw[:-1, 0]
+    c, dpow = pw[1], pw[2:, 1]     # dpow: j a^(j-1) for j >= 2
+    qf = np.zeros(order + 1, dtype=complex)
+    qf[:2] = q @ pw[: len(q), :2]
+    g = np.zeros(order + 1, dtype=complex)
+    g[:2] = a, lam
     for k in range(2, order + 1):
-        g = compose_rational(f, TruncatedPowerSeries(c[: k + 1]))
-        pivot = lam ** k - lam
+        lam_k = lam ** k
+        pivot = lam_k - lam
         if abs(pivot) <= 1e-12 * max(1.0, abs(lam) ** k):
             raise ArithmeticError("degenerate pivot lambda^k - lambda")
-        c[k] = g.coefficients[k] / pivot
+        for j in range(2, d):
+            pw[j, k] = pw[j - 1, : k + 1] @ c[k::-1]
+        rhs = p @ pw[: len(p), k] - a * (q @ pw[: len(q), k]) - qf[1:k] @ g[k - 1 : 0 : -1]
+        c[k] = rhs / (qf[0] * pivot)
+        pw[2:, k] += dpow * c[k]
+        qf[k] = q @ pw[: len(q), k]
+        g[k] = lam_k * c[k]
 
     rho, r_eval = _radii(c, abs(a))
     return PoincareSeries(f, a, lam, c, rho, r_eval)
@@ -112,16 +127,19 @@ def evaluate(F, z):
     the climb that wp shares).  Total (poles land at infinity).
 
     An array gives a complex array, a scalar a complex; either is complex
-    inf at infinity.  A point that needs more than MAX_PULLBACK pull-back steps
-    raises ArithmeticError instead of evaluating the series outside
-    eval_radius.
+    inf at infinity.  F has no value at infinity of its domain, so a point
+    that is not finite raises ValueError.  A point that needs more than
+    MAX_PULLBACK pull-back steps raises ArithmeticError instead of evaluating
+    the series outside eval_radius.
     """
     if np.ndim(z) == 0:
         return complex(evaluate(F, np.reshape(z, 1))[0])
-    zz, depth = pull_back(np.asarray(z, dtype=complex).ravel(), F.multiplier,
-                          F.eval_radius, MAX_PULLBACK)
+    zz = np.asarray(z, dtype=complex).ravel()
+    if not np.all(np.isfinite(zz)):
+        raise ValueError("F has no value at a point that is not finite")
+    zz, depth = pull_back(zz, F.multiplier, F.eval_radius, MAX_PULLBACK)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = npoly.polyval(zz, F.coefficients)
+        w = polyval(zz, F.coefficients)
     return push_forward(F.map, w, depth).reshape(np.shape(z))
 
 

@@ -10,7 +10,6 @@ Euclidean algorithm, and roots carry a residual bound.
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 TAU_GCD = 1e-10      # relative tolerance for approximate common factors
 TAU_ROOT = 1e-10     # scaled residual bound for polynomial roots
@@ -77,6 +76,25 @@ def chordal_array(values_a, values_b):
 # Polynomials
 # ---------------------------------------------------------------------------
 
+# polyval and poly_divmod repeat numpy.polynomial's arithmetic step for step,
+# to the bit, and polyder gives its values (zero parts may differ in sign),
+# so that a cold job need not import numpy.polynomial
+
+def polyval(x, c):
+    """c[0] + c[1] x + ... + c[n] x^n by Horner, for a scalar or an array x."""
+    if isinstance(x, (tuple, list)):
+        x = np.asarray(x)
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
+def polyder(c):
+    """Coefficients of the derivative of a polynomial of degree >= 1."""
+    return c[1:] * np.arange(1, len(c))
+
+
 def _strip_exact_zeros(c):
     n = len(c)
     while n > 1 and c[n - 1] == 0:
@@ -115,7 +133,7 @@ class Polynomial:
         return float(np.max(np.abs(self.coefficients)))
 
     def __call__(self, z):
-        return npoly.polyval(z, self.coefficients)
+        return polyval(z, self.coefficients)
 
     def __add__(self, other):
         other = other if isinstance(other, Polynomial) else Polynomial(other)
@@ -156,7 +174,7 @@ class Polynomial:
     def derivative(self):
         if self.degree == 0:
             return Polynomial([0])
-        return Polynomial(npoly.polyder(self.coefficients))
+        return Polynomial(polyder(self.coefficients))
 
     def monic(self):
         lead = self.coefficients[-1]
@@ -185,11 +203,22 @@ class Polynomial:
 
 
 def poly_divmod(a, b):
-    """Quotient and remainder of a by b (ascending coefficients)."""
+    """Quotient and remainder of a by b (ascending coefficients), by the long
+    division of numpy's polydiv."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    q, r = npoly.polydiv(a.coefficients, b.coefficients)
-    return Polynomial(q), Polynomial(r)
+    r, d = a.coefficients.copy(), b.coefficients
+    if len(r) < len(d):
+        return Polynomial(r[:1] * 0), Polynomial(r)
+    if len(d) == 1:
+        return Polynomial(r / d[-1]), Polynomial(r[:1] * 0)
+    scl = d[-1]
+    d = d[:-1] / scl
+    j = len(r) - 1
+    for i in range(len(r) - len(d) - 1, -1, -1):
+        r[i:j] -= d * r[j]
+        j -= 1
+    return Polynomial(r[j + 1:] / scl), Polynomial(r[:j + 1])
 
 
 def approx_gcd(p, q, rtol=TAU_GCD):
@@ -242,7 +271,7 @@ def poly_roots(p, tol=TAU_ROOT, max_iter=400):
     if n == 0:
         return zero_roots
     coeffs = coeffs / np.max(np.abs(coeffs))
-    deriv = npoly.polyder(coeffs)
+    deriv = polyder(coeffs)
     radius = min(1.0 + float(np.max(np.abs(coeffs[:-1]) / abs(coeffs[-1]))), 4.0)
 
     best = None
@@ -250,11 +279,11 @@ def poly_roots(p, tol=TAU_ROOT, max_iter=400):
         angles = 2 * np.pi * (np.arange(n) / n + 0.376 + 0.21 * attempt)
         z = 0.7 * radius * (1.0 + 0.12 * attempt) * np.exp(1j * angles)
         for _ in range(max_iter):
-            pv = npoly.polyval(z, coeffs)
+            pv = polyval(z, coeffs)
             lim = tol * np.maximum(1.0, np.abs(z)) ** n
             if np.all(np.abs(pv) <= lim):
                 return np.concatenate([zero_roots, z])
-            pd = npoly.polyval(z, deriv)
+            pd = polyval(z, deriv)
             small = np.abs(pd) < 1e-280
             w = pv / np.where(small, 1.0, pd)
             w = np.where(small, 0.05 * (1 + np.abs(z)), w)
@@ -264,7 +293,7 @@ def poly_roots(p, tol=TAU_ROOT, max_iter=400):
             denom = 1.0 - w * s
             denom = np.where(np.abs(denom) < 1e-280, 1.0, denom)
             z = z - w / denom
-        resid = np.abs(npoly.polyval(z, coeffs)) / np.maximum(1.0, np.abs(z)) ** n
+        resid = np.abs(polyval(z, coeffs)) / np.maximum(1.0, np.abs(z)) ** n
         if best is None or resid.max() < best[1].max():
             best = (z, resid)
     raise RootConvergenceError(
@@ -333,15 +362,15 @@ class RationalMap:
         k = self.num.degree - self.den.degree
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             zi = z[inner]
-            p = npoly.polyval(zi, self.num.coefficients)
-            q = npoly.polyval(zi, self.den.coefficients)
+            p = polyval(zi, self.num.coefficients)
+            q = polyval(zi, self.den.coefficients)
             vi = p / q
             vi[q == 0] = complex(np.inf, 0.0)
             out[inner] = vi
             zo = z[outer]
             w = 1.0 / zo
-            pr = npoly.polyval(w, self.num.coefficients[::-1])
-            qr = npoly.polyval(w, self.den.coefficients[::-1])
+            pr = polyval(w, self.num.coefficients[::-1])
+            qr = polyval(w, self.den.coefficients[::-1])
             ratio = pr / qr
             vo = ratio * zo ** k
             vo[ratio == 0] = 0.0          # 0 * overflowed z^k is 0, not nan

@@ -5,9 +5,8 @@ O(N^2) convolution; the orders used here never justify FFT products).
 """
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .rational import homogeneous_horner
+from .rational import homogeneous_horner, polyval
 
 
 class TruncatedPowerSeries:
@@ -25,7 +24,7 @@ class TruncatedPowerSeries:
 
     def __call__(self, z):
         """Partial-sum evaluation (Horner)."""
-        return npoly.polyval(z, self.coefficients)
+        return polyval(z, self.coefficients)
 
     def __add__(self, other):
         if isinstance(other, TruncatedPowerSeries):

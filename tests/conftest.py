@@ -97,6 +97,70 @@ def trace_from_csv(text, closed=False, source=""):
     return CurveTrace(params, values, closed=closed, source=source)
 
 
+def rowwise_csv(trace):
+    """Oracle for CurveTrace.to_csv: one row at a time from numpy scalars."""
+    lines = ["parameter,re,im,is_infinite"]
+    for t, v, isinf in zip(trace.params, trace.values, trace.infinite):
+        if isinf:
+            lines.append(f"{float(t)!r},0.0,0.0,1")
+        else:
+            lines.append(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r},0")
+    return "\n".join(lines) + "\n"
+
+
+def rowwise_svg(trace, fit=None, fixed_points=(), size=640, pad=0.08):
+    """Oracle for curves.trace_svg: the path one sample at a time, its pen
+    lifted by each sample at infinity."""
+    pts = trace.finite_values
+    if len(pts) == 0:
+        raise ValueError("nothing finite to draw")
+    x0, x1 = float(pts.real.min()), float(pts.real.max())
+    y0, y1 = float(pts.imag.min()), float(pts.imag.max())
+    span = max(x1 - x0, y1 - y0, 1e-9)
+    x0 -= pad * span
+    y0 -= pad * span
+    span *= 1 + 2 * pad
+
+    def sx(x):
+        return (x - x0) / span * size
+
+    def sy(y):
+        return size - (y - y0) / span * size
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">',
+             f'<rect width="{size}" height="{size}" fill="white"/>']
+    path = []
+    pen = "M"
+    for v, isinf in zip(trace.values, trace.infinite):
+        if isinf:
+            pen = "M"
+            continue
+        path.append(f"{pen}{sx(v.real):.3f},{sy(v.imag):.3f}")
+        pen = "L"
+    if trace.closed and path:
+        path.append("Z")
+    parts.append(f'<path d="{" ".join(path)}" fill="none" stroke="#1f77b4" '
+                 'stroke-width="1.5"/>')
+    if fit is not None and fit.label == "circle-line":
+        a, b, c, d = [z.real for z in fit.coefficients]
+        if abs(a) > 1e-12:
+            cx, cy = -b / (2 * a), -c / (2 * a)
+            r2 = cx * cx + cy * cy - d / a
+            if r2 > 0:
+                r = math.sqrt(r2)
+                parts.append(f'<circle cx="{sx(cx):.3f}" cy="{sy(cy):.3f}" '
+                             f'r="{r / span * size:.3f}" fill="none" '
+                             'stroke="#d62728" stroke-dasharray="6,4"/>')
+    for p in fixed_points:
+        if not abs(p) <= _HUGE:
+            continue
+        parts.append(f'<circle cx="{sx(p.real):.3f}" '
+                     f'cy="{sy(p.imag):.3f}" r="4" fill="#2ca02c"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def random_polynomial(rng, degree):
     c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
     while abs(c[-1]) < 0.3:
@@ -248,6 +312,98 @@ def series_horner_compose(f, s):
     p = horner(f.num.coefficients)
     q = horner(f.den.coefficients)
     return p * q.reciprocal()
+
+
+def recomposition_coefficients(f, a, order):
+    """Oracle for poincare.solve_coefficients: the recomposition solve it
+    replaced, which expands f(F) afresh through order k for every k, by
+    series.compose_rational (O(d N^3)).  c_k is the order-k coefficient of
+    f(F) with c_k = 0, over the pivot lambda^k - lambda."""
+    from invarcurves.rational import multiplier
+    from invarcurves.series import TruncatedPowerSeries, compose_rational
+
+    lam = multiplier(f, a)
+    c = np.zeros(order + 1, dtype=complex)
+    c[0], c[1] = a, 1.0
+    for k in range(2, order + 1):
+        g = compose_rational(f, TruncatedPowerSeries(c[: k + 1]))
+        c[k] = g.coefficients[k] / (lam ** k - lam)
+    return c
+
+
+def mp_linearizer_coefficients(f, a, order, dps=40):
+    """Oracle for poincare.solve_coefficients in mpmath at dps digits: the
+    linearizer of f as given (its double coefficients taken exactly) at the
+    fixed point that Newton's method reaches from a.
+
+    c_k solves the order-k coefficient r(c_k) of Q(F) F(lambda z) - P(F),
+    f = P/Q, with every power F^j summed out in full.  r is linear in c_k,
+    so one secant step from 0 to a probe value solves it exactly; the pivot
+    Q(a) (lambda^k - lambda) only sets the probe's scale, since r(0) can
+    exceed r(1) - r(0) by more than dps digits.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp, mpc = mpmath.mp, mpmath.mpc
+
+    def horner(cs, z):
+        acc = mpc(0)
+        for x in reversed(cs):
+            acc = acc * z + x
+        return acc
+
+    with mp.workdps(dps):
+        p = [mpc(complex(x)) for x in f.num.coefficients]
+        q = [mpc(complex(x)) for x in f.den.coefficients]
+        dp = [k * p[k] for k in range(1, len(p))]
+        dq = [k * q[k] for k in range(1, len(q))]
+        a = mpc(complex(a))
+        for _ in range(200):
+            step = (horner(p, a) - a * horner(q, a)) \
+                / (horner(dp, a) - horner(q, a) - a * horner(dq, a))
+            a -= step
+            if abs(step) <= mp.mpf(2) ** (-mp.prec) * max(1, abs(a)):
+                break
+        lam = (horner(dp, a) * horner(q, a) - horner(p, a) * horner(dq, a)) / horner(q, a) ** 2
+        lam_pow = [lam ** k for k in range(order + 1)]
+        c = [a, mpc(1)] + [mpc(0)] * (order - 1)
+        pows = [[mpc(1)] + [mpc(0)] * order] \
+            + [[mpc(0)] * (order + 1) for _ in range(1, max(len(p), len(q)))]
+        qf = [mpc(0)] * (order + 1)
+
+        def column(k):
+            # order k of every F^j and of Q(F) from c as it stands, and r
+            for j in range(1, len(pows)):
+                pows[j][k] = mp.fsum(pows[j - 1][i] * c[k - i] for i in range(k + 1))
+            qf[k] = mp.fsum(q[j] * pows[j][k] for j in range(len(q)))
+            return (mp.fsum(qf[i] * lam_pow[k - i] * c[k - i] for i in range(k + 1))
+                    - mp.fsum(p[j] * pows[j][k] for j in range(len(p))))
+
+        column(0)
+        column(1)
+        for k in range(2, order + 1):
+            r0 = column(k)
+            if r0 != 0:
+                c[k] = probe = -r0 / (qf[0] * (lam_pow[k] - lam))
+                c[k] = probe * r0 / (r0 - column(k))
+                column(k)
+        return np.array([complex(x) for x in c])
+
+
+def coefficient_error(c, ref):
+    """Largest |c_k - ref_k| relative to the envelope of ref at k: exp of the
+    upper concave hull of log|ref_k| (the Newton polygon), which bridges the
+    coefficients that pass near zero where the series changes sign."""
+    ks = np.flatnonzero(ref != 0)
+    y = np.log(np.abs(ref[ks]))
+    hull = []
+    for i in range(len(ks)):
+        # drop the last hull point while it lies on or below the chord to i
+        while len(hull) >= 2 and ((y[hull[-1]] - y[hull[-2]]) * (ks[i] - ks[hull[-2]])
+                                  <= (y[i] - y[hull[-2]]) * (ks[hull[-1]] - ks[hull[-2]])):
+            hull.pop()
+        hull.append(i)
+    envelope = np.exp(np.interp(np.arange(len(ref)), ks[hull], y[hull]))
+    return float(np.max(np.abs(c - ref) / envelope))
 
 
 @pytest.fixture

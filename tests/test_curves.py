@@ -15,7 +15,8 @@ from invarcurves.lattes import lattes_from_invariants
 from invarcurves.rational import RationalMap, embed_points, iterate
 from invarcurves.semiconj import pakovich_example
 
-from conftest import dense_polyline_distance, is_infinite, sphere_values, trace_from_csv
+from conftest import (INF, dense_polyline_distance, is_infinite, rowwise_csv, rowwise_svg,
+                      sphere_values, trace_from_csv)
 
 SQUARE = Lattice(2.0, 2j)
 INV1 = invariants_from_lattice(SQUARE)
@@ -364,3 +365,38 @@ class TestSvg:
         assert svg1 == svg2
         root = ET.fromstring(svg1)
         assert root.tag.endswith("svg")
+
+
+class TestWritersMatchRowwiseOracles:
+    """to_csv and trace_svg format whole columns; the bytes are those of the
+    row-at-a-time writers they replaced."""
+
+    # runs at infinity (nan and inf parts too) at both ends and inside,
+    # signed zeros, and a value just past _HUGE
+    VALUES = [INF, INF, -0.0 + 0j, complex(0.0, -0.0), complex(-0.0, -0.0), 1.5 - 2j,
+              complex(math.nan, 0.0), INF, complex(0.0, math.inf), 3e-300 + 1e300j,
+              0.1 + 0.2j, 2e150 + 0j, -4.25 + 1j, 7.0 + 0j, INF]
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_edge_trace(self, closed):
+        tr = CurveTrace(np.linspace(-0.0, 1.0, len(self.VALUES)), self.VALUES, closed=closed)
+        assert tr.to_csv() == rowwise_csv(tr)
+        assert trace_svg(tr) == rowwise_svg(tr)
+
+    def test_with_fit_and_fixed_points(self):
+        tr = circle_trace(radius=2.5, n=101, rot=0.3)
+        fit = circle_fit(tr)
+        fps = [1.0 + 0j, INF, -2.5 + 0.0j]
+        assert trace_svg(tr, fit, fps) == rowwise_svg(tr, fit, fps)
+        assert TRACE2.to_csv() == rowwise_csv(TRACE2)
+        assert trace_svg(TRACE2) == rowwise_svg(TRACE2)
+
+    @given(values=sphere_values(), closed=st.booleans())
+    def test_random_traces(self, values, closed):
+        tr = CurveTrace(np.cumsum(np.full(len(values), 0.37)) - 1.0, values, closed=closed)
+        assert tr.to_csv() == rowwise_csv(tr)
+        if np.all(tr.infinite):
+            with pytest.raises(ValueError, match="nothing finite"):
+                trace_svg(tr)
+        else:
+            assert trace_svg(tr) == rowwise_svg(tr)

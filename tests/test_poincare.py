@@ -5,14 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from invarcurves import curves, elliptic, lattes, poincare
 from invarcurves.curves import CurveTrace
-from invarcurves.rational import _HUGE, RationalMap, chordal, fixed_points, REPELLING
+from invarcurves.rational import (_HUGE, Polynomial, RationalMap, chordal, compose,
+                                  fixed_points, REPELLING)
 
-from conftest import (EDGE_VALUES, INF, evaluate_rounding_bound, is_infinite,
-                      quadratic_injectivity_check, random_rational_map, scalar_evaluate,
+from conftest import (EDGE_VALUES, INF, coefficient_error, evaluate_rounding_bound,
+                      is_infinite, mp_linearizer_coefficients, quadratic_injectivity_check,
+                      random_rational_map, recomposition_coefficients, scalar_evaluate,
                       sphere_values)
 
 SQUARE = RationalMap([0, 0, 1])          # linearizer at 1 is exp
@@ -84,6 +86,56 @@ class TestSolve:
             poincare.solve_coefficients(SQUARE, INF)
 
 
+def moebius_conjugate_of_z4():
+    """M o z^4 o M^-1 for M(z) = (z + 0.5) / (0.3 z + 1), and M(1), its fixed
+    point with multiplier 4; the double coefficients round the conjugate."""
+    m, m_inv = RationalMap([0.5, 1], [1, 0.3]), RationalMap([-0.5, 1], [1, -0.3])
+    return compose(m, compose(RationalMap([0, 0, 0, 0, 1]), m_inv)), m(1.0)
+
+
+# (map, fixed point, order): order 120, but 60 for the cosh linearizer,
+# whose coefficients 2 / (2k)! underflow past order 85
+ORACLE_CASES = {
+    "cosh": (SHIFTED, 2.0, 60),
+    "small-radius moebius": (RationalMap([0.3046875, -0.8203125, 0.669921875],
+                                         [1.01171875, -2.48828125, 1.6748046875]),
+                             0.7428571428571429, 120),
+    "degree-4 moebius": (*moebius_conjugate_of_z4(), 120),
+    # z^2 - 0.5 + i fixes 1.5 - 0.5i exactly, with multiplier 3 - i
+    "complex multiplier": (RationalMap([-0.5 + 1j, 0, 1]), 1.5 - 0.5j, 120),
+}
+
+
+class TestCoefficientOracles:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_within_mpmath_oracle(self, name):
+        # relative to the Newton-polygon envelope of the coefficients; the
+        # recomposition solve reads 3.9e-15, 2.2e-12, 1.9e-12 and 1.0e-14
+        # on these cases, this solve 1.7e-15, 3.8e-12, 1.4e-12 and 1.0e-14
+        f, a, order = ORACLE_CASES[name]
+        c = poincare.solve_coefficients(f, a, order).coefficients
+        assert coefficient_error(c, mp_linearizer_coefficients(f, a, order)) <= 1e-11
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(2, 4))
+    def test_agrees_with_recomposition(self, seed, degree):
+        rng = np.random.default_rng(seed)
+        f = random_rational_map(rng, degree)
+        points = [p.location for p in fixed_points(f)
+                  if p.kind == REPELLING and not is_infinite(p.location)]
+        assume(points)
+        # a fixed point to double precision: at one that is fixed only to
+        # the root finder's 1e-10, the coefficient equations disagree at
+        # that level and any two solves part by as much
+        a, h = points[0], f.num - Polynomial([0, 1]) * f.den
+        for _ in range(3):
+            a -= h(a) / h.derivative()(a)
+        try:
+            c = poincare.solve_coefficients(f, a, order=40).coefficients
+        except (ValueError, ArithmeticError):
+            assume(False)
+        assert coefficient_error(c, recomposition_coefficients(f, a, 40)) <= 1e-10
+
+
 class TestEvaluate:
     def test_log_two_lands_on_two(self):
         F = poincare.solve_coefficients(SQUARE, 1.0, order=40)
@@ -106,14 +158,24 @@ class TestEvaluate:
         for t in np.linspace(-30, 8, 25):
             assert chordal(poincare.evaluate(F, t), cosh_oracle(t)) < 1e-8
 
-    # the edge values without an infinite part, which is no point of C
+    # the finite edge values: a point with an infinite or nan part is no
+    # point of C (see test_rejects_points_that_are_not_finite)
     @settings(max_examples=20)   # 1e200 takes ~660 pull-back steps
-    @given(zs=sphere_values([e for e in EDGE_VALUES if not cmath.isinf(e)], max_size=6))
+    @given(zs=sphere_values([e for e in EDGE_VALUES if cmath.isfinite(e)], max_size=6))
     def test_scalar_is_a_plain_complex(self, zs):
         for z in zs:
             v = poincare.evaluate(EXP, z)
             assert type(v) is complex and (v == INF or abs(v) <= _HUGE)   # never nan
             assert v == poincare.evaluate(EXP, np.array([z]))[0]
+
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(math.nan, 0.0),
+                                   complex(0.0, -math.inf), complex(1.0, math.nan)])
+    def test_rejects_points_that_are_not_finite(self, z):
+        # F has no value at infinity of its domain; nan used to climb to inf
+        with pytest.raises(ValueError, match="not finite"):
+            poincare.evaluate(EXP, z)
+        with pytest.raises(ValueError, match="not finite"):
+            poincare.evaluate(EXP, [1.0, z])
 
     def test_near_neutral_within_pullback_cap(self):
         # 6 793 pull-back steps, below the cap

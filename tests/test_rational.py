@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from invarcurves.rational import (
     _HUGE, DegreeCapExceeded, Polynomial, RationalMap, chordal,
     classify_multiplier, coefficient_residual, compose,
     fixed_points, homogeneous_horner, identity_residual, iterate, maps_equal,
-    multiplier, poly_roots, pull_back, push_forward,
+    multiplier, poly_divmod, poly_roots, polyder, polyval, pull_back, push_forward,
     ATTRACTING, NEUTRAL_IRRATIONAL, NEUTRAL_RATIONAL, REPELLING, SUPERATTRACTING)
 
-from conftest import (INF, critical_points, is_infinite, on_sphere, poly_allclose,
+from conftest import (EDGE_VALUES, INF, critical_points, is_infinite, on_sphere, poly_allclose,
                       poly_from_roots, random_rational_map, random_sphere_points,
                       scalar_call, sphere_values)
 
@@ -45,6 +46,83 @@ class TestPointAtInfinity:
             else:
                 with pytest.raises(ValueError, match="not fixed"):
                     multiplier(translation, z)
+
+
+def same_values(x, y, signed_zeros=True):
+    """x == y entry by entry with nan matching nan, the same type and shape,
+    and with signed_zeros, -0.0 matching only -0.0."""
+    if type(x) is not type(y) or np.shape(x) != np.shape(y):
+        return False
+    parts = [(np.real(x), np.real(y)), (np.imag(x), np.imag(y))]
+    return all(np.array_equal(u, v, equal_nan=True)
+               and (not signed_zeros or np.array_equal(np.signbit(u) & ~np.isnan(u),
+                                                       np.signbit(v) & ~np.isnan(v)))
+               for u, v in parts)
+
+
+def edge_mixed(rng, n, share):
+    """n random complex numbers, a share of them edge values (inf, nan,
+    beyond _HUGE)."""
+    z = rng.normal(size=n) * 3 + 1j * rng.normal(size=n) * 3
+    picks = rng.uniform(size=n) < share
+    z[picks] = rng.choice(np.array(EDGE_VALUES, dtype=complex), size=int(picks.sum()))
+    return z
+
+
+class TestPolynomialHelpersMatchNumpy:
+    """polyval, polyder and poly_divmod repeat numpy.polynomial's arithmetic
+    step for step, so they give its values to the bit."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9),
+           form=st.sampled_from(["python", "numpy scalar", "0-d", "1-d", "list"]),
+           share=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_polyval(self, seed, n, form, share):
+        rng = np.random.default_rng(seed)
+        c = edge_mixed(rng, n, share / 3)
+        xs = edge_mixed(rng, 7, share)
+        x = {"python": complex(xs[0]), "numpy scalar": xs[0], "0-d": np.array(xs[0]),
+             "1-d": xs, "list": xs.tolist()}[form]
+        with np.errstate(all="ignore"):
+            assert same_values(polyval(x, c), npoly.polyval(x, c))
+            assert same_values(polyval(xs.real, c), npoly.polyval(xs.real, c))
+
+    # finite coefficients: numpy's scalar products j * c[j] and the array
+    # product agree on every value, but not on the sign of a zero part
+    # (3 * -0j) or on a product with an inf part
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9))
+    def test_polyder(self, seed, n):
+        rng = np.random.default_rng(seed)
+        c = edge_mixed(rng, n, 0.0)
+        zeros = rng.uniform(size=(2, n)) < 0.3
+        c.real[zeros[0]] = np.copysign(0.0, rng.normal(size=zeros[0].sum()))
+        c.imag[zeros[1]] = np.copysign(0.0, rng.normal(size=zeros[1].sum()))
+        assert same_values(polyder(c), npoly.polyder(c), signed_zeros=False)
+        p = Polynomial(c)
+        if p.degree >= 1:
+            want = Polynomial(npoly.polyder(p.coefficients)).coefficients
+            assert same_values(p.derivative().coefficients, want, signed_zeros=False)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), deg_b=st.integers(0, 5),
+           deg_q=st.integers(-2, 4), exact=st.booleans())
+    def test_poly_divmod(self, seed, deg_b, deg_q, exact):
+        # exact: integer a = b q + r with deg r <= deg b - 2, so the
+        # remainder's leading coefficients cancel to zero and are trimmed
+        rng = np.random.default_rng(seed)
+        draw = (lambda k: rng.integers(-9, 10, size=k).astype(complex)) if exact \
+            else (lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
+        b = draw(deg_b + 1)
+        b[-1] = b[-1] or 3.0
+        if deg_q < 0:                      # a shorter than b
+            a = draw(max(deg_b + deg_q + 1, 1))
+        else:
+            a = np.convolve(b, draw(deg_q + 1))
+            r = draw(max(deg_b - 1, 1))
+            a[:len(r)] += r if deg_b >= 2 else 0
+        qa, ra = poly_divmod(Polynomial(a), Polynomial(b))
+        with np.errstate(all="ignore"):
+            qn, rn = npoly.polydiv(Polynomial(a).coefficients, Polynomial(b).coefficients)
+        assert same_values(qa.coefficients, Polynomial(qn).coefficients)
+        assert same_values(ra.coefficients, Polynomial(rn).coefficients)
 
 
 class TestEval:

@@ -43,6 +43,12 @@ PUBLIC = {
 }
 
 
+# imports that no job of the tests below needs: numpy.ma comes with
+# np.median, numpy.polynomial loads six series families, and fractions is
+# read only by lattice_commensurability
+AVOIDABLE = ("fractions", "numpy.ma", "numpy.polynomial")
+
+
 def fresh(script):
     """Run script in a new interpreter with src/ on the path; its last
     stdout line, as JSON."""
@@ -55,8 +61,9 @@ def fresh(script):
 
 
 def after_job(argv, tmp_path):
-    """Exit code, executed submodules, stub submodules and whether numpy.ma
-    was imported, after one CLI job in a fresh interpreter."""
+    """Exit code, executed submodules, stub submodules and which of the
+    costly imports in AVOIDABLE were made, after one CLI job in a fresh
+    interpreter."""
     return fresh(f"""
         import json, sys, types
         from invarcurves.cli import main
@@ -65,7 +72,7 @@ def after_job(argv, tmp_path):
                  for n, m in sys.modules.items() if n.startswith("invarcurves.")}}
         print(json.dumps([code, sorted(n for n, ran in mods.items() if ran),
                           sorted(n for n, ran in mods.items() if not ran),
-                          "numpy.ma" in sys.modules]))
+                          [n for n in {AVOIDABLE!r} if n in sys.modules]]))
     """)
 
 
@@ -76,21 +83,30 @@ def after_job(argv, tmp_path):
      ["cli", "rational", "semiconj"]),
     (["lattes", "--lattice", LATTICE_JSON, "--samples", "64"],
      ["cli", "elliptic", "lattes", "rational"]),
-    (POINCARE_ARGV, ["cli", "curves", "elliptic", "poincare", "rational", "series"]),
+    (POINCARE_ARGV, ["cli", "curves", "poincare", "rational"]),
 ], ids=["semiconj", "verify", "lattes", "poincare"])
 def test_unused_submodules_stay_stubs(tmp_path, argv, ran):
-    code, executed, stubs, _ = after_job(argv, tmp_path)
+    code, executed, stubs, loaded = after_job(argv, tmp_path)
     assert code == 0
     assert executed == ran
     # the rest are still registered, as stubs, not missing from sys.modules
     assert stubs == sorted(set(PUBLIC) - set(ran))
+    # rational.py's own Horner, derivative and division stand in for it
+    assert "numpy.polynomial" not in loaded
 
 
 def test_poincare_job_does_not_import_numpy_ma(tmp_path):
     # np.median would import it, for one step size of the crossing scan
-    code, _, _, numpy_ma = after_job(POINCARE_ARGV, tmp_path)
+    code, _, _, loaded = after_job(POINCARE_ARGV, tmp_path)
     assert code == 0
-    assert not numpy_ma
+    assert "numpy.ma" not in loaded
+
+
+def test_poincare_job_does_not_import_fractions(tmp_path):
+    # curves.py imports it only inside lattice_commensurability
+    code, _, _, loaded = after_job(POINCARE_ARGV, tmp_path)
+    assert code == 0
+    assert "fractions" not in loaded
 
 
 def test_public_names_resolve_to_their_modules():
