@@ -24,9 +24,6 @@ EXIT_CERTIFICATION = 3
 EXIT_USAGE = 64
 
 INVARIANCE_TOL = 1e-7
-ALGEBRAIC_PASS_TOL = 1e-6
-EVIDENCE_TOL = 1e-3
-CERTIFY_TOL = 1e-9
 FORMATS = {"json", "csv", "svg"}
 
 
@@ -265,7 +262,7 @@ def cmd_lattes(args):
 
 def cmd_semiconj(args):
     cfg = RunConfig.from_args(args)
-    tol = cfg.tol or CERTIFY_TOL
+    tol = cfg.tol or semiconj.IDENTITY_RESIDUAL_TOL
     if args.verify:
         f, g, h = (_map_arg(t) for t in args.verify[:3])
         try:
@@ -311,8 +308,7 @@ def _example_1(args, cfg):
     par_res = run("parametric invariance",
                   curves.parametric_wp_invariance_residual, inv, system.map, offset)
     cf = run("circle fit", curves.circle_fit, trace)
-    scan = run("algebraic scan", curves.transcendence_scan, trace, args.dmax or 8,
-               EVIDENCE_TOL, ALGEBRAIC_PASS_TOL)
+    scan = run("algebraic scan", curves.transcendence_scan, trace, args.dmax or 8)
     xy = run("reflection check", curves.example1_xy_check, inv, offset,
              seed=cfg.seed)
     cfg.write_trace(trace, cf, system.map)
@@ -348,16 +344,13 @@ def _example_2(args, cfg):
     par_res = run("parametric invariance",
                   curves.parametric_wp_invariance_residual, inv, system.map, offset)
     cf = run("circle fit", curves.circle_fit, trace)
-    d_max = args.dmax or 6
-    scan = run("degree scan", curves.transcendence_scan, trace, d_max,
-               EVIDENCE_TOL, ALGEBRAIC_PASS_TOL)
+    scan = run("degree scan", curves.transcendence_scan, trace, args.dmax or 6)
     # paired control: the algebraic curve of the rectangular-lattice example
     control_lat = elliptic.Lattice(2.0, 2j)
     control_inv = elliptic.invariants_from_lattice(control_lat)
     control_trace = curves.trace_wp_line(control_inv, control_lat.g2 / 3.0,
                                          n=cfg.samples)
-    control = run("control scan", curves.transcendence_scan, control_trace, 8,
-                  EVIDENCE_TOL, ALGEBRAIC_PASS_TOL)
+    control = run("control scan", curves.transcendence_scan, control_trace, 8)
     verdictL = run("commensurability", curves.lattice_commensurability,
                    lat, elliptic.Lattice(1.0, tau.conjugate()), q_max=1000)
     cfg.write_trace(trace, cf)
@@ -383,17 +376,10 @@ def _example_2(args, cfg):
 def _example_3(args, cfg):
     run = _StageRunner("example 3")
     n = args.hyperbola_n
-    # the polyline discretization error must sit well below the 1e-7
-    # invariance certificate, hence the dense trace
-    example = run("hyperbola system", semiconj.pakovich_example, n,
-                  n_samples=max(cfg.samples, 24001))
+    example = run("hyperbola system", semiconj.pakovich_example, n, cfg.samples)
     jk = [semiconj.verify_joukowski_identity(k) for k in range(1, 9)]
     hyper = run("hyperbola equation", example.hyperbola_residual)
-    # map only the central parameter window: endpoint images leave the trace
-    n_tr = len(example.trace)
-    idx = np.arange(n_tr // 3, 2 * n_tr // 3, 3)
-    inv_res = run("invariance", curves.invariance_residual, example.map,
-                  example.trace, sample_indices=idx)
+    inv_res = run("invariance", example.invariance_residual)
     cfg.write_trace(example.trace)
     return {
         "n": n,

@@ -389,8 +389,8 @@ class TranscendenceScan:
         }
 
 
-def transcendence_scan(trace, d_max, evidence_threshold=1e-3, pass_threshold=1e-6):
-    """algebraic_fit for d = 1..d_max; evidence verdict per the thresholds.
+def transcendence_scan(trace, d_max):
+    """algebraic_fit for d = 1..d_max; verdict per TranscendenceScan's thresholds.
 
     Callers should run a known-algebraic control (the genus-style check used
     in the tests pairs this with the degree-4 invariant curve) through the
@@ -399,7 +399,7 @@ def transcendence_scan(trace, d_max, evidence_threshold=1e-3, pass_threshold=1e-
     if d_max < 1:
         raise ValueError(f"the scan needs d_max >= 1, got {d_max}")
     reports = [algebraic_fit(trace, d) for d in range(1, d_max + 1)]
-    return TranscendenceScan(reports, evidence_threshold, pass_threshold)
+    return TranscendenceScan(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,11 @@ def solve_coefficients(f, a, order=60):
     lam = multiplier(f, a)
     if abs(lam) <= 1.0 + TAU_CLASS:
         raise ValueError(f"fixed point is not repelling (|lambda| = {abs(lam):.6g})")
+    # |lambda|^k grows with k, so the pivots below stay finite if the last does
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite([lam ** order, abs(lam) ** order]).all():
+            raise ArithmeticError(f"lambda^{order} overflows (|lambda| = {abs(lam):.6g}): "
+                                  "lower the order")
 
     # Online solve of Q(F(z)) F(lambda z) = P(F(z)), f = P/Q: row j of pw is
     # F^j (row 1 is c), qf is Q(F) and g is F(lambda z), known through order
@@ -134,18 +139,23 @@ def evaluate(F, z):
     """
     if np.ndim(z) == 0:
         return complex(evaluate(F, np.reshape(z, 1))[0])
-    zz = np.asarray(z, dtype=complex).ravel()
-    if not np.all(np.isfinite(zz)):
-        raise ValueError("F has no value at a point that is not finite")
-    zz, depth = pull_back(zz, F.multiplier, F.eval_radius, MAX_PULLBACK)
+    zz, depth = pull_back(_finite(z), F.multiplier, F.eval_radius, MAX_PULLBACK)
     with np.errstate(over="ignore", invalid="ignore"):
         w = polyval(zz, F.coefficients)
     return push_forward(F.map, w, depth).reshape(np.shape(z))
 
 
+def _finite(z):
+    """z as a flat complex array; F has no value at a point that is not finite."""
+    zz = np.asarray(z, dtype=complex).ravel()
+    if not np.all(np.isfinite(zz)):
+        raise ValueError("F has no value at a point that is not finite")
+    return zz
+
+
 def functional_equation_residual(F, zs):
     """Max chordal |f(F(z)) - F(lambda z)| over the given points."""
-    zs = np.asarray(zs, dtype=complex).ravel()
+    zs = _finite(zs)
     values = evaluate(F, np.concatenate([zs, F.multiplier * zs]))
     lhs = F.map.eval_array(values[: len(zs)])
     return float(np.max(chordal_array(lhs, values[len(zs):]), initial=0.0))

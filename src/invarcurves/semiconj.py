@@ -13,8 +13,8 @@ import numpy as np
 
 from . import curves
 from .rational import (DegreeCapExceeded, DEGREE_CAP, Polynomial, RationalMap,
-                       chain_identity_residual, coefficient_residual, compose,
-                       identity_residual)
+                       chain_identity_residual, chordal_array, coefficient_residual,
+                       compose, identity_residual)
 
 IDENTITY_RESIDUAL_TOL = 1e-9
 
@@ -124,8 +124,9 @@ class HyperbolaExample:
     """u = J(eps z) with eps = exp(2 pi i / n): u(R) is a hyperbola swept by
     (cos(theta) (x + 1/x)/2, sin(theta) (x - 1/x)/2), invariant under u o T_n."""
     map: RationalMap          # f = u o T_n
-    trace: "curves.CurveTrace"  # the x > 0 branch of u(R)
+    trace: "curves.CurveTrace"  # the x = e^s > 0 branch of u(R), s the parameter
     u: RationalMap
+    n: int
     epsilon: complex
     theta: float
     rotation_residual: float  # identity residual of R(eps z) = R(z)
@@ -139,6 +140,16 @@ class HyperbolaExample:
         x = pts.real / math.cos(self.theta)
         y = pts.imag / math.sin(self.theta)
         return float(np.max(np.abs(x * x - y * y - 1.0)))
+
+    def invariance_residual(self):
+        """Max chordal |f(u(x)) - u(J(x^n))| over the trace's x = e^s: as
+        eps^n = 1, f o u = u o T_n o J o eps = u o J o P_n, and J(x^n) = cosh(n s)
+        is real, so f maps the branch into u(R)."""
+        if len(self.trace) < 16:
+            raise ValueError("trace too coarse for an invariance check")
+        with np.errstate(over="ignore"):    # cosh beyond the floats is infinity
+            images = self.u.eval_array(np.cosh(self.n * self.trace.params).astype(complex))
+        return float(np.max(chordal_array(self.map.eval_array(self.trace.values), images)))
 
 
 def pakovich_example(n, n_samples=4001, log_range=3.0, principal=True):
@@ -162,5 +173,5 @@ def pakovich_example(n, n_samples=4001, log_range=3.0, principal=True):
     values = u.eval_array(xs.astype(complex))
     trace = curves.CurveTrace(ss, values, closed=False,
                               source=f"halved-sum hyperbola (n={n}, positive branch)")
-    return HyperbolaExample(map=f, trace=trace, u=u, epsilon=eps, theta=theta,
+    return HyperbolaExample(map=f, trace=trace, u=u, n=n, epsilon=eps, theta=theta,
                             rotation_residual=rot)

@@ -54,6 +54,13 @@ class TestPoincareCommand:
             ck = complex(*coeffs["coefficients"][k])
             assert abs((ck / c1) * math.factorial(2 * k) / 2 - 1) < 1e-12
 
+    def test_overflowing_order_is_exit_2(self, tmp_path, capsys):
+        code = run(["poincare", "--map", json.dumps({"num": [[0, 0], [1000, 0]],
+                                                     "den": [[1, 0]]}),
+                    "--fixed-point", "0,0", "--order", "120", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "lambda^120 overflows" in capsys.readouterr().err
+
     def test_non_repelling_is_exit_2(self, tmp_path):
         code = run(["poincare", "--map", SQUARE_JSON, "--fixed-point", "0,0",
                     "--out", str(tmp_path / "x")])
@@ -194,6 +201,26 @@ class TestExampleCommand:
         assert run(["example", "3", "--out", str(out)]) == 0
         v = read_json(out / "example3_report.json")["verdict"]
         assert all(v.values())
+
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_example_3_hyperbola_invariant_beyond_n_3(self, tmp_path, n):
+        out = tmp_path / "e3"
+        assert run(["example", "3", "--hyperbola-n", str(n), "--out", str(out)]) == 0
+        report = read_json(out / "example3_report.json")
+        assert report["verdict"]["hyperbola_invariant"] is True
+        assert report["invariance_residual"] <= 1e-12
+
+    def test_example_3_honours_samples(self, tmp_path):
+        out = tmp_path / "e3"
+        assert run(["example", "3", "--samples", "257", "--format", "json,csv",
+                    "--out", str(out)]) == 0
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert rows[0] == "parameter,re,im,is_infinite" and len(rows) == 1 + 257
+
+    def test_example_3_coarse_trace_is_exit_2(self, tmp_path, capsys):
+        code = run(["example", "3", "--samples", "15", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "stage 'invariance'" in capsys.readouterr().err
 
     def test_example_3_line_image_is_exit_2(self, tmp_path, capsys):
         code = run(["example", "3", "--hyperbola-n", "4", "--out", str(tmp_path / "x")])

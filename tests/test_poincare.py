@@ -73,6 +73,13 @@ class TestSolve:
             F = poincare.solve_coefficients(SQUARE, 1.0, order=400)
         assert F.eval_radius > 0
 
+    def test_overflowing_multiplier_power_is_named(self):
+        # 1000^k overflows at k = 103: named as such, with no RuntimeWarning
+        f = RationalMap([0, 1000])
+        assert poincare.solve_coefficients(f, 0.0, order=100).order == 100
+        with pytest.raises(ArithmeticError, match="overflows"):
+            poincare.solve_coefficients(f, 0.0, order=120)
+
     def test_rejects_non_fixed(self):
         with pytest.raises(ValueError, match="fixed"):
             poincare.solve_coefficients(SQUARE, 0.5)
@@ -255,6 +262,13 @@ class TestFunctionalEquationResidual:
             assert poincare.functional_equation_residual(F, zs) <= 1e-8
             checked += 1
         assert checked == 8
+
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(math.nan, 0.0),
+                                   complex(0.0, -math.inf), complex(1.0, math.nan)])
+    def test_rejects_points_that_are_not_finite(self, z):
+        # rejected before lambda z is formed, so with no RuntimeWarning
+        with pytest.raises(ValueError, match="not finite"):
+            poincare.functional_equation_residual(EXP, [1.0, z])
 
     def test_lattes_linearizer(self):
         inv = elliptic.invariants_from_lattice(elliptic.Lattice(2.0, 2j))

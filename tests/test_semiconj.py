@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,33 @@ class TestHyperbolaExample:
         idx = np.arange(n // 3, 2 * n // 3, 3)
         res = curves.invariance_residual(ex.map, ex.trace, sample_indices=idx)
         assert res <= 1e-7
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
+    @pytest.mark.parametrize("principal", [True, False])
+    def test_closed_form_invariance(self, n, principal):
+        # f o u = u o J o P_n, so f maps the whole traced branch, ends and all,
+        # into u(R), for either primitive root
+        ex = pakovich_example(n, n_samples=257, principal=principal)
+        assert ex.invariance_residual() <= 1e-12
+
+    @pytest.mark.parametrize("part, k", [("num", 0), ("num", 2), ("num", 4), ("num", 6),
+                                         ("den", 1), ("den", 3)])
+    def test_perturbed_map_fails_invariance(self, part, k):
+        # every nonzero coefficient of f, nudged by 1e-6, shows in the certificate
+        ex = pakovich_example(3, n_samples=257)
+        num, den = ex.map.num.coefficients.copy(), ex.map.den.coefficients.copy()
+        {"num": num, "den": den}[part][k] *= 1 + 1e-6
+        assert replace(ex, map=RationalMap(num, den)).invariance_residual() > 1e-7
+
+    def test_wrong_n_fails_invariance(self):
+        ex = pakovich_example(3, n_samples=257)
+        wrong = replace(ex, map=compose(ex.u, chebyshev_map(4)))
+        assert wrong.invariance_residual() > 1e-7
+
+    def test_invariance_rejects_a_coarse_trace(self):
+        assert pakovich_example(3, n_samples=16).invariance_residual() <= 1e-12
+        with pytest.raises(ValueError, match="coarse"):
+            pakovich_example(3, n_samples=15).invariance_residual()
 
     def test_conjugate_root_variant(self):
         ex = pakovich_example(3, n_samples=601, principal=False)
