@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +46,14 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """Per-invocation knobs; a fixed seed and config gives byte-identical
-    reports."""
-    tol: float = None
-    order: int = 60
-    samples: int = 1024
-    seed: int = 0
-    out: Path = Path("out")
-    formats: set = field(default_factory=lambda: set(FORMATS))
+    """Per-invocation knobs, read from the common flags (their defaults are
+    there); a fixed seed and config gives byte-identical reports."""
+    tol: float
+    order: int
+    samples: int
+    seed: int
+    out: Path
+    formats: set
 
     def __post_init__(self):
         if self.tol is not None and not self.tol > 0:   # nan too
@@ -213,8 +213,7 @@ def cmd_poincare(args):
     _write(outdir, "coefficients.json", _dump_json(coeffs))
 
     report = {"map": f.to_json_dict(), "order": cfg.order}
-    lam = F.multiplier
-    if abs(lam.imag) <= 1e-9 * max(1.0, abs(lam)):
+    if poincare.is_real_multiplier(F.multiplier):
         trace = poincare.trace_real_axis(F, args.trace_range, cfg.samples)
         crossings = poincare.injectivity_check(trace)
         realness = poincare.multiplier_real_check(f, trace)
@@ -302,8 +301,7 @@ def _example_1(args, cfg):
     system = run("duplication map", lattes.lattes_from_invariants, inv)
     offset = lat.g2 * args.offset_thirds / 3.0
     trace = run("trace", curves.trace_wp_line, inv, offset, n=cfg.samples)
-    dup_res = run("duplication residual", lattes.verify_lattes, system,
-                  n_samples=500, seed=cfg.seed)
+    dup_res = run("duplication residual", lattes.verify_lattes, system, seed=cfg.seed)
     inv_res = run("invariance", curves.invariance_residual, system.map, trace)
     par_res = run("parametric invariance",
                   curves.parametric_wp_invariance_residual, inv, system.map, offset)
@@ -352,7 +350,7 @@ def _example_2(args, cfg):
                                          n=cfg.samples)
     control = run("control scan", curves.transcendence_scan, control_trace, 8)
     verdictL = run("commensurability", curves.lattice_commensurability,
-                   lat, elliptic.Lattice(1.0, tau.conjugate()), q_max=1000)
+                   lat, elliptic.Lattice(1.0, tau.conjugate()))
     cfg.write_trace(trace, cf)
     return {
         "lattice": lat.to_json_dict(),

@@ -174,7 +174,7 @@ def _flat_runs(starts, lengths):
 # Traces of wp along a line
 # ---------------------------------------------------------------------------
 
-def trace_wp_line(invariants, offset, t_range=None, n=1024, source=None):
+def trace_wp_line(invariants, offset, t_range=None, n=1024):
     """Samples of wp(t + offset) for real t; one period gives a closed trace.
 
     The offset must not be lattice-equivalent to the real axis, where the
@@ -203,8 +203,7 @@ def trace_wp_line(invariants, offset, t_range=None, n=1024, source=None):
     if reverse:
         # same point set, opposite traversal (parameters stay increasing)
         values = values[::-1].copy()
-    return CurveTrace(ts, values, closed=closed,
-                      source=source or f"wp-line(offset={offset!r})")
+    return CurveTrace(ts, values, closed=closed, source=f"wp-line(offset={offset!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +268,14 @@ class FitReport:
         }
 
 
-def _dedupe_sorted(points, decimals=12):
+def _dedupe_sorted(points):
     """Canonical sample set: sorted by (re, im) in the normalised frame,
     duplicates there removed, so the set does not depend on the scale."""
     pts = np.asarray(points, dtype=complex)
     if len(pts) == 0:
         return pts
     _, _, x, y = _normalised(pts)
-    keys = np.round(x, decimals) + 1j * np.round(y, decimals)
+    keys = np.round(x, 12) + 1j * np.round(y, 12)
     order = np.lexsort((keys.imag, keys.real))
     pts = pts[order]
     keys = keys[order]
@@ -365,8 +364,8 @@ class TranscendenceScan:
     curve algebraic.
     """
     reports: list
-    evidence_threshold: float = 1e-3
-    pass_threshold: float = 1e-6
+    evidence_threshold = 1e-3    # not dataclass fields: the thresholds are fixed
+    pass_threshold = 1e-6
 
     @property
     def transcendence_evidence(self):
@@ -426,11 +425,11 @@ class CommensurabilityVerdict:
         }
 
 
-def lattice_commensurability(lat1, lat2, q_max=1000, tol=1e-9):
+def lattice_commensurability(lat1, lat2, q_max=1000):
     """Are the two lattices related by rational coordinates?
 
     Expresses both generators of lat2 in the real basis of lat1 and asks
-    each of the four coordinates for a rational p/q, q <= q_max, within tol
+    each of the four coordinates for a rational p/q, q <= q_max, within 1e-9
     (continued-fraction convergents via Fraction.limit_denominator).
     """
     from fractions import Fraction   # only here: a cold job need not load it
@@ -443,7 +442,7 @@ def lattice_commensurability(lat1, lat2, q_max=1000, tol=1e-9):
     for value in coords.T.ravel():
         frac = Fraction(float(value)).limit_denominator(q_max)
         approxs.append((frac.numerator, frac.denominator))
-        if abs(value - float(frac)) > tol:
+        if abs(value - float(frac)) > 1e-9:
             commensurable = False
     return CommensurabilityVerdict(commensurable, q_max, coords, approxs)
 
@@ -466,7 +465,7 @@ class ReflectionXYReport:
         }
 
 
-def example1_xy_check(invariants, offset, n_samples=100, seed=0):
+def example1_xy_check(invariants, offset, seed=0):
     """For a rectangular lattice and a horizontal line L at height Im(offset),
     the combinations
 
@@ -485,7 +484,7 @@ def example1_xy_check(invariants, offset, n_samples=100, seed=0):
     # on L the reflection fixes z, so X and Y reduce to Re(wp), Im(wp)
     on_line = np.linspace(0.025, 0.95, 16) * w1 + 1j * h
     # keep away from the poles so the values stay on the wp scale
-    u = np.random.default_rng(seed).uniform(size=(n_samples, 2))
+    u = np.random.default_rng(seed).uniform(size=(100, 2))
     z0 = ((0.1 + 0.8 * u[:, 0]) * lat.g1 + (0.1 + 0.8 * u[:, 1]) * lat.g2 / 2.0
           + (0.0065 + 0.00355j) * w1)
     zr = 0.37 * w1  # a real-axis point: off L, Y need not be Im(wp)
@@ -501,7 +500,7 @@ def example1_xy_check(invariants, offset, n_samples=100, seed=0):
     ref = np.maximum(wp_scale, np.abs(w[:n]))
     on_line = float(np.max(np.abs([x[:n] - w[:n].real, y[:n] - w[:n].imag]) / ref))
     # rows: z0, z0 + g1, z0 + g2
-    xs, ys = x[n:-1].reshape(3, n_samples), y[n:-1].reshape(3, n_samples)
+    xs, ys = x[n:-1].reshape(3, -1), y[n:-1].reshape(3, -1)
     ref = np.maximum(wp_scale, np.maximum(np.abs(xs[0]), np.abs(ys[0])))
     shifts = np.abs(np.concatenate([xs[1:] - xs[0], ys[1:] - ys[0]])) / ref
     return ReflectionXYReport(on_line, float(np.max(shifts, initial=0.0)), complex(y[-1]))
@@ -511,9 +510,10 @@ def example1_xy_check(invariants, offset, n_samples=100, seed=0):
 # SVG emission
 # ---------------------------------------------------------------------------
 
-def trace_svg(trace, fit=None, fixed_points=(), size=640, pad=0.08):
-    """Static SVG of a trace with an optional fitted circle overlay and
-    fixed-point markers.  Deterministic output (no timestamps)."""
+def trace_svg(trace, fit=None, fixed_points=()):
+    """Static 640-pixel SVG of a trace with an optional fitted circle
+    overlay and fixed-point markers.  Deterministic output (no timestamps)."""
+    size, pad = 640, 0.08
     finite = ~trace.infinite
     pts = trace.values[finite]
     if len(pts) == 0:

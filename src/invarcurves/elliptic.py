@@ -126,15 +126,15 @@ def _row_sums(tau):
     return g4, g6
 
 
-def laurent_coefficients(g2, g3, order=LAURENT_ORDER):
-    """Coefficients c_2..c_order of wp(z) = z^-2 + sum c_k z^(2k-2).
+def laurent_coefficients(g2, g3):
+    """Coefficients c_2..c_LAURENT_ORDER of wp(z) = z^-2 + sum c_k z^(2k-2).
 
     c_2 = g2/20, c_3 = g3/28, and the classical quadratic recursion above.
     """
-    c = np.zeros(order + 1, dtype=complex)
+    c = np.zeros(LAURENT_ORDER + 1, dtype=complex)
     c[2] = g2 / 20.0
     c[3] = g3 / 28.0
-    for k in range(4, order + 1):
+    for k in range(4, LAURENT_ORDER + 1):
         acc = 0j
         for m in range(2, k - 1):
             acc += c[m] * c[k - m]
@@ -164,7 +164,7 @@ class EllipticInvariants:
     __slots__ = ("lattice", "g2", "g3", "laurent", "duplication", "base_radius",
                  "_exponent", "_cell", "_laurent", "_duplication_map")
 
-    def __init__(self, lattice, g2, g3, order=LAURENT_ORDER):
+    def __init__(self, lattice, g2, g3):
         self.lattice = lattice
         self.g2 = complex(g2)
         self.g3 = complex(g3)
@@ -179,10 +179,10 @@ class EllipticInvariants:
         # discriminant is not 0) of the frame
         self._cell = Lattice(math.ldexp(1.0, -e) * lattice.g1,
                              math.ldexp(1.0, -e) * lattice.g2)
-        self._laurent = laurent_coefficients(g2f, g3f, order)
+        self._laurent = laurent_coefficients(g2f, g3f)
         self._duplication_map = RationalMap(*_duplication_coefficients(g2f, g3f), reduce=False)
         with np.errstate(all="ignore"):    # far from side 1 these leave the float range
-            self.laurent = laurent_coefficients(self.g2, self.g3, order)
+            self.laurent = laurent_coefficients(self.g2, self.g3)
         self.duplication = _duplication_coefficients(self.g2, self.g3)
         self.base_radius = shortest / 4.0
 
@@ -242,7 +242,7 @@ class EllipticInvariants:
                 f"lattice={self.lattice!r})")
 
 
-def invariants_from_lattice(lattice, laurent_order=LAURENT_ORDER):
+def invariants_from_lattice(lattice):
     """g2 = 60 sum' w^-4 and g3 = 140 sum' w^-6 plus the Laurent data."""
     a, b = lattice.reduced_basis()
     tau = b / a
@@ -253,7 +253,7 @@ def invariants_from_lattice(lattice, laurent_order=LAURENT_ORDER):
     if abs(g2.imag) <= 1e-14 * abs(g2) and abs(g3.imag) <= 1e-14 * max(abs(g3), abs(g2)):
         g2 = complex(g2.real, 0.0)
         g3 = complex(g3.real, 0.0)
-    return EllipticInvariants(lattice, g2, g3, laurent_order)
+    return EllipticInvariants(lattice, g2, g3)
 
 
 def square_lattice_with_g2(target_g2):

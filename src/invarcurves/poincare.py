@@ -154,9 +154,14 @@ def _finite(z):
 
 
 def functional_equation_residual(F, zs):
-    """Max chordal |f(F(z)) - F(lambda z)| over the given points."""
+    """Max chordal |f(F(z)) - F(lambda z)| over the given points; a point
+    whose lambda z overflows raises ValueError."""
     zs = _finite(zs)
-    values = evaluate(F, np.concatenate([zs, F.multiplier * zs]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_zs = F.multiplier * zs
+    if not np.all(np.isfinite(lam_zs)):
+        raise ValueError("lambda z overflows: F(lambda z) has no value there")
+    values = evaluate(F, np.concatenate([zs, lam_zs]))
     lhs = F.map.eval_array(values[: len(zs)])
     return float(np.max(chordal_array(lhs, values[len(zs):]), initial=0.0))
 
@@ -173,7 +178,7 @@ def trace_real_axis(F, t_max, n=1001):
     if not 0.0 < t_max <= t_cap:
         raise ValueError(f"trace range must lie in (0, {t_cap:.6g}], got {t_max!r}")
     lam = F.multiplier
-    if abs(lam.imag) > 1e-9 * max(1.0, abs(lam)):
+    if not is_real_multiplier(lam):
         raise ValueError("multiplier is not real: F(R) need not be a curve")
     ts = np.linspace(-t_max, t_max, n)
     values = evaluate(F, ts)
@@ -181,6 +186,11 @@ def trace_real_axis(F, t_max, n=1001):
     if lam.real < 0:
         tag += " (invariance certified for the second iterate)"
     return CurveTrace(ts, values, closed=False, source=tag)
+
+
+def is_real_multiplier(lam):
+    """Is lambda real to 1e-9 relative: the test for tracing F(R)."""
+    return abs(lam.imag) <= 1e-9 * max(1.0, abs(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +206,7 @@ class Crossing:
     distance: float
 
 
-def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
-                      min_excursion=1e-3):
+def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
     """Self-crossing scan over segment pairs of the trace.
 
     A pair is reported when two parameter-separated segments pass within
@@ -246,13 +255,13 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10,
         d, p1, _ = segment_pair_distance(a[i], b[i], a[j], b[j])
         near = d <= tol_cross
         i, j, d, p1 = i[near], j[near], d[near], p1[near]
-        # excursion: does any vertex from i to j + 1 lie min_excursion away?
+        # excursion: does any vertex from i to j + 1 lie 1e-3 away?
         # The norm is spelled out over coordinate columns: np.linalg.norm
         # rounds it the same way but reduces over rows of three slowly.
         far = np.zeros(len(i), dtype=bool)
         for h, k in _flat_runs(i, j - i + 2):
             dx, dy, dz = (c[k] - c1[h] for c, c1 in zip(coords, p1.T))
-            far[h[np.sqrt((dx * dx + dy * dy) + dz * dz) >= min_excursion]] = True
+            far[h[np.sqrt((dx * dx + dy * dy) + dz * dz) >= 1e-3]] = True
         found.append((i[far], j[far], d[far]))
     i, j, d = (np.concatenate(x) for x in zip(*found))
     order = np.lexsort((j, i))
@@ -302,9 +311,9 @@ class MultiplierRealnessReport:
         return not self.violations
 
 
-def multiplier_real_check(f, trace, max_distance=0.05, tol_imag=1e-8):
-    """Check realness of multipliers at repelling fixed points within
-    max_distance (chordal) of the trace polyline."""
+def multiplier_real_check(f, trace):
+    """Check realness, to 1e-8 relative, of multipliers at repelling fixed
+    points within 0.05 (chordal) of the trace polyline."""
     report = MultiplierRealnessReport()
     repelling = [info for info in fixed_points(f) if info.kind == REPELLING]
     values = np.array([i.location for i in repelling], dtype=complex)
@@ -312,8 +321,8 @@ def multiplier_real_check(f, trace, max_distance=0.05, tol_imag=1e-8):
     for info, dist in zip(repelling, dists.tolist()):
         lam = info.multiplier
         entry = MultiplierRealness(info.location, lam, dist,
-                                   abs(lam.imag) <= tol_imag * max(1.0, abs(lam)))
-        if dist <= max_distance:
+                                   abs(lam.imag) <= 1e-8 * max(1.0, abs(lam)))
+        if dist <= 0.05:
             report.checked.append(entry)
         else:
             report.skipped.append(entry)

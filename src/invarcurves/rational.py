@@ -114,10 +114,8 @@ class Polynomial:
         self.coefficients = _strip_exact_zeros(c).copy()
 
     @classmethod
-    def monomial(cls, k, coefficient=1.0):
-        c = np.zeros(k + 1, dtype=complex)
-        c[k] = coefficient
-        return cls(c)
+    def monomial(cls, k):
+        return cls([0] * k + [1])
 
     @property
     def degree(self):
@@ -221,7 +219,7 @@ def poly_divmod(a, b):
     return Polynomial(r[j + 1:] / scl), Polynomial(r[:j + 1])
 
 
-def approx_gcd(p, q, rtol=TAU_GCD):
+def approx_gcd(p, q):
     """Approximate monic GCD by the Euclidean algorithm with a relative
     zero test on remainders; returns 1 when no convincing factor exists."""
     if p.is_zero:
@@ -233,13 +231,13 @@ def approx_gcd(p, q, rtol=TAU_GCD):
     b = b.monic()
     while b.degree >= 1:
         _, r = poly_divmod(a, b)
-        if r.is_zero or r.scale <= rtol * max(1.0, b.scale):
+        if r.is_zero or r.scale <= TAU_GCD * max(1.0, b.scale):
             candidate = b
             # candidate must divide both inputs within tolerance
             ok = True
             for f in (p, q):
                 _, rem = poly_divmod(f, candidate)
-                if rem.scale > rtol * max(1.0, f.scale) * 10:
+                if rem.scale > TAU_GCD * max(1.0, f.scale) * 10:
                     ok = False
                     break
             return candidate if ok else Polynomial([1])
@@ -251,11 +249,11 @@ def approx_gcd(p, q, rtol=TAU_GCD):
 # Root finding (simultaneous Aberth-Ehrlich iteration)
 # ---------------------------------------------------------------------------
 
-def poly_roots(p, tol=TAU_ROOT, max_iter=400):
+def poly_roots(p):
     """All roots of p with multiplicity, by Aberth-Ehrlich iteration.
 
     Convergence requires the backward-stable residual
-    |p(z)| <= tol * scale * max(1, |z|)^deg for every root.
+    |p(z)| <= TAU_ROOT * scale * max(1, |z|)^deg for every root.
     """
     p = p if isinstance(p, Polynomial) else Polynomial(p)
     if p.degree < 1:
@@ -278,9 +276,9 @@ def poly_roots(p, tol=TAU_ROOT, max_iter=400):
     for attempt in range(3):
         angles = 2 * np.pi * (np.arange(n) / n + 0.376 + 0.21 * attempt)
         z = 0.7 * radius * (1.0 + 0.12 * attempt) * np.exp(1j * angles)
-        for _ in range(max_iter):
+        for _ in range(400):
             pv = polyval(z, coeffs)
-            lim = tol * np.maximum(1.0, np.abs(z)) ** n
+            lim = TAU_ROOT * np.maximum(1.0, np.abs(z)) ** n
             if np.all(np.abs(pv) <= lim):
                 return np.concatenate([zero_roots, z])
             pd = polyval(z, deriv)
@@ -521,7 +519,7 @@ def iterate(f, n, degree_cap=DEGREE_CAP):
     return out
 
 
-def chain_identity_residual(left_chain, right_chain, n_points=None):
+def chain_identity_residual(left_chain, right_chain):
     """Identity residual of two composition chains of rational maps.
 
     Both chains (outermost map first) are evaluated on a unit-circle sample
@@ -533,7 +531,7 @@ def chain_identity_residual(left_chain, right_chain, n_points=None):
     """
     chains = (left_chain, right_chain)
     deg = max(int(np.prod([f.degree for f in chain]) or 1) for chain in chains)
-    m = n_points or (2 * deg + 5)
+    m = 2 * deg + 5
     z = np.exp(2j * np.pi * (np.arange(m) / m + 0.2371)).astype(np.clongdouble)
     (p1, q1), (p2, q2) = [_chain_values(chain, z) for chain in chains]
     n1 = np.sqrt(np.abs(p1) ** 2 + np.abs(q1) ** 2)
@@ -551,14 +549,14 @@ def _chain_values(chain, z):
     return p, q
 
 
-def identity_residual(f, g, n_points=None):
+def identity_residual(f, g):
     """Max chordal deviation between two maps on a unit-circle sample."""
-    return chain_identity_residual([f], [g], n_points)
+    return chain_identity_residual([f], [g])
 
 
-def maps_equal(f, g, tol=TAU_IDENTITY):
+def maps_equal(f, g):
     """Identity test by evaluation at 2*max(deg)+5 unit-circle points."""
-    return chain_identity_residual([f], [g]) <= tol
+    return chain_identity_residual([f], [g]) <= TAU_IDENTITY
 
 
 def coefficient_residual(f, g):
@@ -594,13 +592,13 @@ class FixedPointInfo:
                 f"multiplier={self.multiplier:.6g}, {self.kind})")
 
 
-def classify_multiplier(lam, tol=TAU_CLASS):
+def classify_multiplier(lam):
     m = abs(lam)
-    if m < tol:
+    if m < TAU_CLASS:
         return SUPERATTRACTING
-    if m > 1.0 + tol:
+    if m > 1.0 + TAU_CLASS:
         return REPELLING
-    if m < 1.0 - tol:
+    if m < 1.0 - TAU_CLASS:
         return ATTRACTING
     # neutral: root-of-unity probe distinguishes rational rotation numbers
     for q in range(1, 65):
@@ -609,16 +607,16 @@ def classify_multiplier(lam, tol=TAU_CLASS):
     return NEUTRAL_IRRATIONAL
 
 
-def multiplier(f, a, tol_fixed=1e-6):
+def multiplier(f, a):
     """Multiplier of f at the fixed point a (chart w = 1/z at infinity)."""
-    if chordal(f(a), a) > tol_fixed:
+    if chordal(f(a), a) > 1e-6:
         raise ValueError("point is not fixed within tolerance")
     if not abs(a) <= _HUGE:
         return RationalMap.conjugate_by_inversion(f).derivative_at(0j)
     return f.derivative_at(a)
 
 
-def fixed_points(f, tol=TAU_CLASS):
+def fixed_points(f):
     """All degree+1 fixed points with multiplicity, classified.
 
     Finite fixed points are the roots of p(z) - z q(z); infinity is fixed
@@ -634,11 +632,11 @@ def fixed_points(f, tol=TAU_CLASS):
     if eqn.degree >= 1:
         for root in poly_roots(eqn):
             lam = f.derivative_at(root)
-            infos.append(FixedPointInfo(root, lam, classify_multiplier(lam, tol)))
+            infos.append(FixedPointInfo(root, lam, classify_multiplier(lam)))
     total = f.degree + 1
     if p.degree > q.degree:
         lam_inf = RationalMap.conjugate_by_inversion(f).derivative_at(0j)
-        kind = classify_multiplier(lam_inf, tol)
+        kind = classify_multiplier(lam_inf)
         for _ in range(total - len(infos)):
             infos.append(FixedPointInfo(_INF, lam_inf, kind))
     return infos

@@ -30,8 +30,8 @@ class SemiconjTriple:
     def residual(self):
         return certify_triple(self)
 
-    def verify(self, tol=IDENTITY_RESIDUAL_TOL):
-        return self.residual() <= tol
+    def verify(self):
+        return self.residual() <= IDENTITY_RESIDUAL_TOL
 
     def to_json_dict(self):
         return {"f": self.f.to_json_dict(), "g": self.g.to_json_dict(),
@@ -44,7 +44,7 @@ class SemiconjTriple:
                    RationalMap.from_json_dict(d["h"]), int(d["n"]))
 
 
-def certify_triple(triple, degree_cap=DEGREE_CAP):
+def certify_triple(triple):
     """Max unit-circle deviation between h o g and f^n o h.
 
     Both sides are composed in extended precision (chains, outermost first):
@@ -52,33 +52,31 @@ def certify_triple(triple, degree_cap=DEGREE_CAP):
     near weak poles well above the certification tolerance.
     n = 0 is the degenerate h o g = h case: accepted, compared literally.
     """
-    if triple.h.degree * max(triple.g.degree, 1) > degree_cap or \
-            triple.f.degree ** max(triple.n, 1) * triple.h.degree > degree_cap:
+    if triple.h.degree * max(triple.g.degree, 1) > DEGREE_CAP or \
+            triple.f.degree ** max(triple.n, 1) * triple.h.degree > DEGREE_CAP:
         raise DegreeCapExceeded("triple certification exceeds the degree cap")
     left = [triple.h, triple.g]
     right = [triple.f] * triple.n + [triple.h]
     return chain_identity_residual(left, right)
 
 
-def make_ritt_triple(u, v, degree_cap=DEGREE_CAP):
+def make_ritt_triple(u, v):
     """f = u o v, g = v o u, h = u; then h o g = u o v o u = f o h."""
-    if u.degree * v.degree > degree_cap:
+    if u.degree * v.degree > DEGREE_CAP:
         raise DegreeCapExceeded("u o v exceeds the degree cap")
-    return SemiconjTriple(f=compose(u, v, degree_cap=degree_cap),
-                          g=compose(v, u, degree_cap=degree_cap),
-                          h=u, n=1)
+    return SemiconjTriple(f=compose(u, v), g=compose(v, u), h=u, n=1)
 
 
-def make_power_family(w, m, n, degree_cap=DEGREE_CAP):
+def make_power_family(w, m, n):
     """f = z^m w(z)^n, g = z^m w(z^n), h = z^n; then h o g = f o h."""
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
-    if (m + w.degree * n) * n > degree_cap:
+    if (m + w.degree * n) * n > DEGREE_CAP:
         raise DegreeCapExceeded("power family exceeds the degree cap")
     zm = RationalMap(Polynomial.monomial(m))
     zn = RationalMap(Polynomial.monomial(n))
     f = zm * (w ** n)
-    g = zm * compose(w, zn, degree_cap=degree_cap)
+    g = zm * compose(w, zn)
     return SemiconjTriple(f=f, g=g, h=zn, n=1)
 
 
@@ -152,23 +150,29 @@ class HyperbolaExample:
         return float(np.max(chordal_array(self.map.eval_array(self.trace.values), images)))
 
 
-def pakovich_example(n, n_samples=4001, log_range=3.0, principal=True):
-    """The invariant-hyperbola system for n >= 3.
+def pakovich_example(n, n_samples=4001, principal=True):
+    """The invariant-hyperbola system for n >= 3, traced for s in [-3, 3].
 
     principal picks eps = exp(2 pi i/n); other primitive roots give conjugate
     systems (exposed via principal=False, which uses exp(-2 pi i/n)).
+    ValueError from n = 406 on, where f's coefficients leave the floats.
     """
     if n < 3:
         raise ValueError("need n >= 3 for a nondegenerate hyperbola")
+    if 2 * n > DEGREE_CAP:          # before T_n's n - 1 step recurrence
+        raise DegreeCapExceeded(f"u o T_n has degree {2 * n} > cap {DEGREE_CAP}")
     theta = 2.0 * math.pi / n
     if not principal:
         theta = -theta
     eps = cmath.exp(1j * theta)
     u = joukowski().precompose_scale(eps)
-    f = compose(u, chebyshev_map(n))
+    with np.errstate(over="ignore", invalid="ignore"):    # checked just below
+        f = compose(u, chebyshev_map(n))
+    if not all(np.isfinite(p.coefficients).all() for p in (f.num, f.den)):
+        raise ValueError(f"u o T_{n} has coefficients beyond the float range")
     big_r = compose(joukowski(), power_map(n))
     rot = identity_residual(big_r.precompose_scale(eps), big_r)
-    ss = np.linspace(-log_range, log_range, n_samples)
+    ss = np.linspace(-3.0, 3.0, n_samples)
     xs = np.exp(ss)
     values = u.eval_array(xs.astype(complex))
     trace = curves.CurveTrace(ss, values, closed=False,

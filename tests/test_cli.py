@@ -6,13 +6,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invarcurves import cli
+from invarcurves import cli, poincare
 from invarcurves.rational import RationalMap
 
 SQUARE_JSON = json.dumps({"num": [[0, 0], [0, 0], [1, 0]], "den": [[1, 0]]})
@@ -90,6 +92,25 @@ class TestPoincareCommand:
                     "--out", str(tmp_path / "x")])
         assert code == 2
         assert "trace range must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rel_imag, traced", [(5e-10, True), (2e-9, False)])
+    def test_one_realness_test_decides_the_trace(self, tmp_path, rel_imag, traced):
+        # f = lam z + z^2 at 0 has multiplier lam, real to rel_imag relative;
+        # the CLI and trace_real_axis read the same predicate
+        lam = complex(2.0, 2.0 * rel_imag)
+        f = RationalMap([0, lam, 1])
+        out = tmp_path / "run"
+        code = run(["poincare", "--map", json.dumps(f.to_json_dict()), "--fixed-point=0,0",
+                    "--order", "20", "--samples", "64", "--out", str(out)])
+        assert code == 0
+        assert (read_json(out / "report.json")["trace"] is not None) is traced
+        F = poincare.solve_coefficients(f, 0.0, order=20)
+        assert poincare.is_real_multiplier(F.multiplier) is traced
+        if traced:
+            assert len(poincare.trace_real_axis(F, 10.0, 64)) == 64
+        else:
+            with pytest.raises(ValueError, match="not real"):
+                poincare.trace_real_axis(F, 10.0, 64)
 
 
 class TestLattesCommand:
@@ -221,6 +242,29 @@ class TestExampleCommand:
         code = run(["example", "3", "--samples", "15", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "stage 'invariance'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["406", "408", "1100", str(10 ** 20)])
+    def test_example_3_beyond_the_float_range_is_exit_2(self, tmp_path, capsys, n):
+        # from n = 406 on f = u o T_n has coefficients beyond the floats (at
+        # 408 the old code certified the nan map); 10**20 exceeds the degree
+        # cap, checked before T_n's n - 1 step recurrence would run
+        t0 = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["example", "3", "--hyperbola-n", n, "--samples", "64",
+                        "--out", str(tmp_path / "x")])
+        assert code == 2 and not caught, [str(w.message) for w in caught]
+        assert "stage 'hyperbola system'" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "example3_report.json").exists()
+        if len(n) > 4:
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_example_3_at_405_is_finite(self, tmp_path):
+        out = tmp_path / "e3"
+        assert run(["example", "3", "--hyperbola-n", "405", "--samples", "64",
+                    "--out", str(out)]) == 0
+        report = read_json(out / "example3_report.json")
+        assert np.isfinite(report["map"]["num"] + report["map"]["den"]).all()
 
     def test_example_3_line_image_is_exit_2(self, tmp_path, capsys):
         code = run(["example", "3", "--hyperbola-n", "4", "--out", str(tmp_path / "x")])

@@ -270,6 +270,13 @@ class TestFunctionalEquationResidual:
         with pytest.raises(ValueError, match="not finite"):
             poincare.functional_equation_residual(EXP, [1.0, z])
 
+    def test_overflowing_lambda_z_raises_value_error(self):
+        # lambda z = 4e308 leaves the floats; the suite's filterwarnings makes
+        # a RuntimeWarning on the way an error, so this also shows there is none
+        F = poincare.solve_coefficients(SHIFTED, 2.0, order=20)
+        with pytest.raises(ValueError, match="overflows"):
+            poincare.functional_equation_residual(F, [1e308])
+
     def test_lattes_linearizer(self):
         inv = elliptic.invariants_from_lattice(elliptic.Lattice(2.0, 2j))
         f = lattes.lattes_from_invariants(inv).map
