@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,39 +44,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Per-invocation knobs, read from the common flags (their defaults are
-    there); a fixed seed and config gives byte-identical reports."""
-    tol: float
-    order: int
-    samples: int
-    seed: int
-    out: Path
-    formats: set
+def _positive(kind, noun):
+    """argparse type: a number of the given kind that is > 0 (nan is not)."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"{noun} must be positive, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__      # argparse's "invalid int value" message
+    return parse
 
-    def __post_init__(self):
-        if self.tol is not None and not self.tol > 0:   # nan too
-            raise UsageError("tolerance overrides must be positive")
-        if self.samples <= 0 or self.order <= 0:
-            raise UsageError("sample counts and orders must be positive")
-        if not self.formats <= FORMATS:
-            raise UsageError(f"formats must be among {', '.join(sorted(FORMATS))}")
 
-    def write_trace(self, trace, fit=None, fixed_map=None):
-        """trace.csv and trace.svg where --format asks for them (the JSON
-        reports are always written); the SVG marks fixed_map's fixed points."""
-        if "csv" in self.formats:
-            _write(self.out, "trace.csv", trace.to_csv())
-        if "svg" in self.formats:
-            fps = () if fixed_map is None else [p.location for p in fixed_points(fixed_map)]
-            _write(self.out, "trace.svg", curves.trace_svg(trace, fit, fps))
-
-    @classmethod
-    def from_args(cls, args):
-        return cls(tol=args.tol, order=args.order, samples=args.samples,
-                   seed=args.seed, out=Path(args.out),
-                   formats=set(args.format.split(",")))
+def _formats(text):
+    formats = set(text.split(","))
+    if not formats <= FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"formats must be among {', '.join(sorted(FORMATS))}, got {text!r}")
+    return formats
 
 
 def _load_json_arg(text):
@@ -116,8 +100,23 @@ def _complex_arg(text):
         raise UsageError(f"bad complex number: {text!r}")
 
 
+def _json_value(obj):
+    """The one JSON rule of the reports: a complex is [re, im], an array its
+    nested list, and any other object its to_json_dict() or, for a
+    dataclass, its fields."""
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
+
+
 def _dump_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_value) + "\n"
 
 
 def _write(outdir, name, content):
@@ -141,14 +140,26 @@ class _StageRunner:
             raise PreconditionError(f"{self.label}, stage '{name}': {exc}")
 
 
+def _write_trace(args, trace, fit=None, fixed_map=None):
+    """trace.csv and trace.svg where --format asks for them (the JSON
+    reports are always written); the SVG marks fixed_map's fixed points."""
+    if "csv" in args.format:
+        _write(args.out, "trace.csv", trace.to_csv())
+    if "svg" in args.format:
+        fps = () if fixed_map is None else [p.location for p in fixed_points(fixed_map)]
+        _write(args.out, "trace.svg", curves.trace_svg(trace, fit, fps))
+
+
 def _common_flags(sub):
-    sub.add_argument("--out", default="out", help="output directory")
+    sub.add_argument("--out", type=Path, default="out", help="output directory")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sub.add_argument("--samples", type=int, default=1024, help="sample count")
-    sub.add_argument("--order", type=int, default=60, help="series truncation order")
-    sub.add_argument("--tol", type=float, default=None,
+    sub.add_argument("--samples", type=_positive(int, "sample count"), default=1024,
+                     help="sample count")
+    sub.add_argument("--order", type=_positive(int, "series order"), default=60,
+                     help="series truncation order")
+    sub.add_argument("--tol", type=_positive(float, "tolerance"), default=None,
                      help="override certification tolerance")
-    sub.add_argument("--format", default="json,csv,svg",
+    sub.add_argument("--format", type=_formats, default="json,csv,svg",
                      help="comma list of output formats")
 
 
@@ -188,7 +199,7 @@ def build_parser():
     p.add_argument("--offset-thirds", type=int, default=1,
                    help="offset = (second generator) * thirds / 3")
     p.add_argument("--hyperbola-n", type=int, default=3)
-    p.add_argument("--dmax", type=int, default=None)
+    p.add_argument("--dmax", type=_positive(int, "scan degree"), default=None)
     _common_flags(p)
     return parser
 
@@ -198,76 +209,67 @@ def build_parser():
 # ---------------------------------------------------------------------------
 
 def cmd_poincare(args):
-    cfg = RunConfig.from_args(args)
     f = _map_arg(args.map)
     a = _complex_arg(args.fixed_point)
-    F = poincare.solve_coefficients(f, a, order=cfg.order)
-    outdir = cfg.out
-    coeffs = {
-        "fixed_point": [F.fixed_point.real, F.fixed_point.imag],
-        "multiplier": [F.multiplier.real, F.multiplier.imag],
-        "coefficients": [[c.real, c.imag] for c in F.coefficients],
-        "radius_estimate": F.radius_estimate,
-        "eval_radius": F.eval_radius,
-    }
-    _write(outdir, "coefficients.json", _dump_json(coeffs))
+    F = poincare.solve_coefficients(f, a, order=args.order)
+    _write(args.out, "coefficients.json", _dump_json({
+        "fixed_point": F.fixed_point, "multiplier": F.multiplier,
+        "coefficients": F.coefficients, "radius_estimate": F.radius_estimate,
+        "eval_radius": F.eval_radius}))
 
-    report = {"map": f.to_json_dict(), "order": cfg.order}
+    report = {"map": f, "order": args.order}
     if poincare.is_real_multiplier(F.multiplier):
-        trace = poincare.trace_real_axis(F, args.trace_range, cfg.samples)
+        trace = poincare.trace_real_axis(F, args.trace_range, args.samples)
         crossings = poincare.injectivity_check(trace)
         realness = poincare.multiplier_real_check(f, trace)
-        cfg.write_trace(trace)
-        report["trace"] = {"range": args.trace_range, "samples": cfg.samples}
-        report["crossings"] = [
-            {"s": c.s, "t": c.t, "point": [c.point.real, c.point.imag],
-             "distance": c.distance} for c in crossings]
+        _write_trace(args, trace)
+        report["trace"] = {"range": args.trace_range, "samples": args.samples}
+        report["crossings"] = crossings
         report["injective_at_resolution"] = not crossings
         report["repelling_multipliers_on_trace_real"] = realness.all_real
     else:
         report["trace"] = None
         report["note"] = "multiplier not real: F(R) is not traced"
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     zs = F.eval_radius * 8 * rng.uniform(0.05, 1.0, 100) \
         * np.exp(2j * np.pi * rng.uniform(size=100))
     report["functional_equation_residual"] = \
         poincare.functional_equation_residual(F, zs)
-    _write(outdir, "report.json", _dump_json(report))
+    _write(args.out, "report.json", _dump_json(report))
     return EXIT_OK
 
 
 def cmd_lattes(args):
-    cfg = RunConfig.from_args(args)
     try:
         lat = elliptic.Lattice.from_json_dict(_load_json_arg(args.lattice))
     except (KeyError, TypeError) as exc:
         raise UsageError(f"bad lattice JSON: {exc!r}")
     inv = elliptic.invariants_from_lattice(lat)
     system = lattes.lattes_from_invariants(inv)
-    residual = lattes.verify_lattes(system, n_samples=cfg.samples, seed=cfg.seed)
-    outdir = cfg.out
-    _write(outdir, "map.json", _dump_json(system.map.to_json_dict()))
+    residual = lattes.verify_lattes(system, n_samples=args.samples, seed=args.seed)
+    _write(args.out, "map.json", _dump_json(system.map))
     report = {
-        "invariants": inv.to_json_dict(),
+        "invariants": inv,
         "duplication_residual": residual,
-        "samples": cfg.samples,
-        "certified": residual <= (cfg.tol or 1e-8),
+        "samples": args.samples,
+        "certified": residual <= (args.tol or 1e-8),
     }
-    _write(outdir, "report.json", _dump_json(report))
+    _write(args.out, "report.json", _dump_json(report))
     if not report["certified"]:
         raise CertificationError(f"duplication residual {residual:.3e}")
     return EXIT_OK
 
 
 def cmd_semiconj(args):
-    cfg = RunConfig.from_args(args)
-    tol = cfg.tol or semiconj.IDENTITY_RESIDUAL_TOL
+    tol = args.tol or semiconj.IDENTITY_RESIDUAL_TOL
     if args.verify:
         f, g, h = (_map_arg(t) for t in args.verify[:3])
         try:
             n = int(args.verify[3])
         except ValueError:
             raise UsageError(f"iteration count N is not an integer: {args.verify[3]!r}")
+        if n < 0:
+            raise UsageError(f"iteration count N must be >= 0, got {n}")
         triple = semiconj.SemiconjTriple(f, g, h, n)
         provenance = "verify"
     elif args.u and args.v:
@@ -279,8 +281,7 @@ def cmd_semiconj(args):
     else:
         raise UsageError("need --u/--v, or --w/--m/--n, or --verify")
     residual = triple.residual()
-    outdir = cfg.out
-    _write(outdir, "triple.json", _dump_json(triple.to_json_dict()))
+    _write(args.out, "triple.json", _dump_json(triple))
     report = {
         "provenance": provenance,
         "identity_residual": residual,
@@ -288,100 +289,85 @@ def cmd_semiconj(args):
         "certified": residual <= tol,
         "degenerate_n0": triple.n == 0,
     }
-    _write(outdir, "report.json", _dump_json(report))
+    _write(args.out, "report.json", _dump_json(report))
     if residual > tol:
         raise CertificationError(f"identity residual {residual:.3e} > {tol:.1e}")
     return EXIT_OK
 
 
-def _example_1(args, cfg):
-    run = _StageRunner("example 1")
-    lat = run("lattice", elliptic.Lattice, 2.0 * args.omega1, 2j * args.omega2)
+def _wp_line(args, run, lat, offset, d_max):
+    """Examples 1 and 2 on the wp-image of the line through offset, up to the
+    degree scan (to --dmax, else d_max): the invariants, the Lattes system,
+    the trace and the report keys the two examples have in common."""
     inv = run("invariants", elliptic.invariants_from_lattice, lat)
     system = run("duplication map", lattes.lattes_from_invariants, inv)
-    offset = lat.g2 * args.offset_thirds / 3.0
-    trace = run("trace", curves.trace_wp_line, inv, offset, n=cfg.samples)
-    dup_res = run("duplication residual", lattes.verify_lattes, system, seed=cfg.seed)
+    trace = run("trace", curves.trace_wp_line, inv, offset, n=args.samples)
     inv_res = run("invariance", curves.invariance_residual, system.map, trace)
     par_res = run("parametric invariance",
                   curves.parametric_wp_invariance_residual, inv, system.map, offset)
     cf = run("circle fit", curves.circle_fit, trace)
-    scan = run("algebraic scan", curves.transcendence_scan, trace, args.dmax or 8)
-    xy = run("reflection check", curves.example1_xy_check, inv, offset,
-             seed=cfg.seed)
-    cfg.write_trace(trace, cf, system.map)
-    return {
-        "lattice": lat.to_json_dict(),
-        "g2": [inv.g2.real, inv.g2.imag],
-        "g3": [inv.g3.real, inv.g3.imag],
-        "duplication_residual": dup_res,
-        "trace_closed": trace.closed,
+    scan = run("degree scan", curves.transcendence_scan, trace, args.dmax or d_max)
+    return inv, system, trace, {
+        "lattice": lat,
         "invariance_residual": inv_res,
         "parametric_invariance_residual": par_res,
         "verdict": {
             "invariant": max(inv_res, par_res) <= INVARIANCE_TOL,
             "circle": curves.is_circle(cf),
-            "algebraic": scan.first_passing_degree is not None,
-            "algebraic_degree": scan.first_passing_degree,
         },
-        "circle_fit": cf.to_json_dict(),
-        "fit_scan": scan.to_json_dict(),
-        "reflection_xy": xy.to_json_dict(),
+        "circle_fit": cf,
+        "fit_scan": scan,
     }
 
 
-def _example_2(args, cfg):
+def _example_1(args):
+    run = _StageRunner("example 1")
+    lat = run("lattice", elliptic.Lattice, 2.0 * args.omega1, 2j * args.omega2)
+    offset = lat.g2 * args.offset_thirds / 3.0
+    inv, system, trace, report = _wp_line(args, run, lat, offset, 8)
+    dup_res = run("duplication residual", lattes.verify_lattes, system, seed=args.seed)
+    xy = run("reflection check", curves.example1_xy_check, inv, offset, seed=args.seed)
+    _write_trace(args, trace, report["circle_fit"], system.map)
+    degree = report["fit_scan"].first_passing_degree
+    report["verdict"].update(algebraic=degree is not None, algebraic_degree=degree)
+    report.update(g2=inv.g2, g3=inv.g3, duplication_residual=dup_res,
+                  trace_closed=trace.closed, reflection_xy=xy)
+    return report
+
+
+def _example_2(args):
     run = _StageRunner("example 2")
     tau = complex(args.p, 1.0)
     lat = run("lattice", elliptic.Lattice, 1.0, tau)
-    inv = run("invariants", elliptic.invariants_from_lattice, lat)
-    system = run("duplication map", lattes.lattes_from_invariants, inv)
-    offset = tau * args.offset_thirds / 3.0
-    trace = run("trace", curves.trace_wp_line, inv, offset, n=cfg.samples)
-    inv_res = run("invariance", curves.invariance_residual, system.map, trace)
-    par_res = run("parametric invariance",
-                  curves.parametric_wp_invariance_residual, inv, system.map, offset)
-    cf = run("circle fit", curves.circle_fit, trace)
-    scan = run("degree scan", curves.transcendence_scan, trace, args.dmax or 6)
+    _, _, trace, report = _wp_line(args, run, lat, tau * args.offset_thirds / 3.0, 6)
     # paired control: the algebraic curve of the rectangular-lattice example
     control_lat = elliptic.Lattice(2.0, 2j)
     control_inv = elliptic.invariants_from_lattice(control_lat)
     control_trace = curves.trace_wp_line(control_inv, control_lat.g2 / 3.0,
-                                         n=cfg.samples)
+                                         n=args.samples)
     control = run("control scan", curves.transcendence_scan, control_trace, 8)
     verdictL = run("commensurability", curves.lattice_commensurability,
                    lat, elliptic.Lattice(1.0, tau.conjugate()))
-    cfg.write_trace(trace, cf)
-    return {
-        "lattice": lat.to_json_dict(),
-        "invariance_residual": inv_res,
-        "parametric_invariance_residual": par_res,
-        "verdict": {
-            "invariant": max(inv_res, par_res) <= INVARIANCE_TOL,
-            "circle": curves.is_circle(cf),
-            "algebraic_evidence": not scan.transcendence_evidence,
-            "transcendence_evidence": scan.transcendence_evidence,
-            "control_passed": control.first_passing_degree is not None,
-            "lattices": str(verdictL),
-        },
-        "circle_fit": cf.to_json_dict(),
-        "fit_scan": scan.to_json_dict(),
-        "control_scan": control.to_json_dict(),
-        "commensurability": verdictL.to_json_dict(),
-    }
+    _write_trace(args, trace, report["circle_fit"])
+    evidence = report["fit_scan"].transcendence_evidence
+    report["verdict"].update(algebraic_evidence=not evidence, transcendence_evidence=evidence,
+                             control_passed=control.first_passing_degree is not None,
+                             lattices=str(verdictL))
+    report.update(control_scan=control, commensurability=verdictL)
+    return report
 
 
-def _example_3(args, cfg):
+def _example_3(args):
     run = _StageRunner("example 3")
     n = args.hyperbola_n
-    example = run("hyperbola system", semiconj.pakovich_example, n, cfg.samples)
+    example = run("hyperbola system", semiconj.pakovich_example, n, args.samples)
     jk = [semiconj.verify_joukowski_identity(k) for k in range(1, 9)]
     hyper = run("hyperbola equation", example.hyperbola_residual)
     inv_res = run("invariance", example.invariance_residual)
-    cfg.write_trace(example.trace)
+    _write_trace(args, example.trace)
     return {
         "n": n,
-        "epsilon": [example.epsilon.real, example.epsilon.imag],
+        "epsilon": example.epsilon,
         "joukowski_identity_residuals": jk,
         "rotation_identity_residual": example.rotation_residual,
         "hyperbola_equation_residual": hyper,
@@ -392,19 +378,15 @@ def _example_3(args, cfg):
             "hyperbola": hyper <= 1e-10,
             "hyperbola_invariant": inv_res <= INVARIANCE_TOL,
         },
-        "map": example.map.to_json_dict(),
+        "map": example.map,
     }
 
 
 def cmd_example(args):
-    cfg = RunConfig.from_args(args)
-    if args.dmax is not None and args.dmax < 1:
-        raise UsageError("--dmax must be at least 1")   # so `args.dmax or 8` replaces only None
     builders = {1: _example_1, 2: _example_2, 3: _example_3}
-    report = builders[args.which](args, cfg)
-    report["example"] = args.which
-    report["seed"] = cfg.seed
-    _write(cfg.out, f"example{args.which}_report.json", _dump_json(report))
+    report = builders[args.which](args)
+    report.update(example=args.which, seed=args.seed)
+    _write(args.out, f"example{args.which}_report.json", _dump_json(report))
     return EXIT_OK
 
 

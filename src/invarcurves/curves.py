@@ -253,19 +253,6 @@ class FitReport:
     center: complex = 0j
     scale: float = 1.0
     label: str = "algebraic"
-    n_excluded: int = 0
-
-    def to_json_dict(self):
-        return {
-            "degree": self.degree,
-            "smallest_singular_value": self.smallest_singular_value,
-            "residual": self.residual,
-            "coefficients": [[c.real, c.imag] for c in np.atleast_1d(self.coefficients)],
-            "exponents": [list(e) for e in self.exponents],
-            "center": [self.center.real, self.center.imag],
-            "scale": self.scale,
-            "label": self.label,
-        }
 
 
 def _dedupe_sorted(points):
@@ -332,9 +319,7 @@ def algebraic_fit(trace, degree):
     of |F| over the odd-index half with unit-norm coefficients.
     """
     expos = _monomial_exponents(degree)
-    all_pts = np.asarray(trace.finite_values, dtype=complex)
-    n_excluded = int(np.sum(trace.infinite))
-    pts = _dedupe_sorted(all_pts)
+    pts = _dedupe_sorted(trace.finite_values)
     if len(pts) < 3 * len(expos):
         raise ValueError(
             f"under-sampled: need >= {3 * len(expos)} samples for degree {degree}")
@@ -350,8 +335,7 @@ def algebraic_fit(trace, degree):
     residual = float(np.max(np.abs(val_rows @ coef)))
     return FitReport(degree=degree, smallest_singular_value=float(sv[-1]),
                      residual=residual, coefficients=coef.astype(complex),
-                     exponents=expos, center=center, scale=scale,
-                     n_excluded=n_excluded)
+                     exponents=expos, center=center, scale=scale)
 
 
 @dataclass
@@ -380,7 +364,7 @@ class TranscendenceScan:
 
     def to_json_dict(self):
         return {
-            "reports": [r.to_json_dict() for r in self.reports],
+            "reports": self.reports,
             "evidence_threshold": self.evidence_threshold,
             "pass_threshold": self.pass_threshold,
             "transcendence_evidence": self.transcendence_evidence,
@@ -416,14 +400,6 @@ class CommensurabilityVerdict:
         return "COMMENSURABLE" if self.commensurable \
             else f"INCOMMENSURABLE-UP-TO({self.q_max})"
 
-    def to_json_dict(self):
-        return {
-            "commensurable": self.commensurable,
-            "q_max": self.q_max,
-            "coordinates": self.coordinates.tolist(),
-            "approximations": [[p, q] for (p, q) in self.approximations],
-        }
-
 
 def lattice_commensurability(lat1, lat2, q_max=1000):
     """Are the two lattices related by rational coordinates?
@@ -456,13 +432,6 @@ class ReflectionXYReport:
     on_line_residual: float
     periodicity_residual: float
     off_line_y: complex
-
-    def to_json_dict(self):
-        return {
-            "on_line_residual": self.on_line_residual,
-            "periodicity_residual": self.periodicity_residual,
-            "off_line_y": [self.off_line_y.real, self.off_line_y.imag],
-        }
 
 
 def example1_xy_check(invariants, offset, seed=0):

@@ -158,10 +158,10 @@ class EllipticInvariants:
     Laurent data and the duplication map are O(1) whatever the lattice's
     size, and wp and wp' scale back by 2^-2e and 2^-3e.  Scaling by a power
     of two is exact, so the frame changes no value that stays finite without
-    it.  `laurent` and `duplication` are the lattice's own coefficients.
+    it.  `duplication` holds the lattice's own coefficients.
     """
 
-    __slots__ = ("lattice", "g2", "g3", "laurent", "duplication", "base_radius",
+    __slots__ = ("lattice", "g2", "g3", "duplication", "base_radius",
                  "_exponent", "_cell", "_laurent", "_duplication_map")
 
     def __init__(self, lattice, g2, g3):
@@ -181,8 +181,6 @@ class EllipticInvariants:
                              math.ldexp(1.0, -e) * lattice.g2)
         self._laurent = laurent_coefficients(g2f, g3f)
         self._duplication_map = RationalMap(*_duplication_coefficients(g2f, g3f), reduce=False)
-        with np.errstate(all="ignore"):    # far from side 1 these leave the float range
-            self.laurent = laurent_coefficients(self.g2, self.g3)
         self.duplication = _duplication_coefficients(self.g2, self.g3)
         self.base_radius = shortest / 4.0
 
@@ -231,11 +229,7 @@ class EllipticInvariants:
         return tuple(v.reshape(shape) if shape else complex(v[0]) for v in values)
 
     def to_json_dict(self):
-        return {
-            "lattice": self.lattice.to_json_dict(),
-            "g2": [self.g2.real, self.g2.imag],
-            "g3": [self.g3.real, self.g3.imag],
-        }
+        return {"lattice": self.lattice, "g2": self.g2, "g3": self.g3}
 
     def __repr__(self):
         return (f"EllipticInvariants(g2={self.g2:.12g}, g3={self.g3:.12g}, "

@@ -303,12 +303,8 @@ class MultiplierRealnessReport:
     skipped: list = field(default_factory=list)
 
     @property
-    def violations(self):
-        return [e for e in self.checked if not e.is_real]
-
-    @property
     def all_real(self):
-        return not self.violations
+        return all(e.is_real for e in self.checked)
 
 
 def multiplier_real_check(f, trace):

@@ -511,8 +511,8 @@ def iterate(f, n, degree_cap=DEGREE_CAP):
     """The n-fold composition f o f o ... o f, n >= 1."""
     if n < 1:
         raise ValueError("iteration count must be >= 1")
-    if f.degree ** n > degree_cap:
-        raise DegreeCapExceeded(f"degree {f.degree}^{n} exceeds cap {degree_cap}")
+    if n > degree_cap or f.degree ** n > degree_cap:     # n first: no d^n of a huge n
+        raise DegreeCapExceeded(f"{n} iterates of a degree-{f.degree} map exceed cap {degree_cap}")
     out = f
     for _ in range(n - 1):
         out = compose(out, f, degree_cap=degree_cap)

@@ -33,16 +33,6 @@ class SemiconjTriple:
     def verify(self):
         return self.residual() <= IDENTITY_RESIDUAL_TOL
 
-    def to_json_dict(self):
-        return {"f": self.f.to_json_dict(), "g": self.g.to_json_dict(),
-                "h": self.h.to_json_dict(), "n": self.n}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(RationalMap.from_json_dict(d["f"]),
-                   RationalMap.from_json_dict(d["g"]),
-                   RationalMap.from_json_dict(d["h"]), int(d["n"]))
-
 
 def certify_triple(triple):
     """Max unit-circle deviation between h o g and f^n o h.
@@ -51,8 +41,11 @@ def certify_triple(triple):
     comparing two independently rounded double compositions would bottom out
     near weak poles well above the certification tolerance.
     n = 0 is the degenerate h o g = h case: accepted, compared literally.
+    n is checked against the cap before f^n's degree or chain is formed.
     """
-    if triple.h.degree * max(triple.g.degree, 1) > DEGREE_CAP or \
+    if triple.n < 0:
+        raise ValueError(f"iteration count n must be >= 0, got {triple.n}")
+    if triple.n > DEGREE_CAP or triple.h.degree * max(triple.g.degree, 1) > DEGREE_CAP or \
             triple.f.degree ** max(triple.n, 1) * triple.h.degree > DEGREE_CAP:
         raise DegreeCapExceeded("triple certification exceeds the degree cap")
     left = [triple.h, triple.g]

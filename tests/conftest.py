@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from invarcurves.elliptic import laurent_coefficients
 from invarcurves.rational import _HUGE, Polynomial, RationalMap, poly_roots
 
 INF = complex(math.inf, 0.0)
@@ -547,6 +549,14 @@ def scalar_wp_prime(inv, z):
     return _scalar_wp_chain(inv, z, derivative=True)[:2]
 
 
+@functools.lru_cache(maxsize=64)
+def _own_laurent(g2, g3):
+    """The Laurent data of the lattice itself, not of its frame; far from
+    side 1 it leaves the float range."""
+    with np.errstate(all="ignore"):
+        return laurent_coefficients(g2, g3)
+
+
 def _scalar_wp_chain(inv, z, nudge=None, derivative=False):
     """(wp, wp', k) with k the number of halvings.  nudge = (s, eta)
     multiplies the series argument (s = -1), the value after s doubling
@@ -572,7 +582,7 @@ def _scalar_wp_chain(inv, z, nudge=None, derivative=False):
         z *= 1 + eta
     u = z * z
     acc = dacc = 0j
-    c = inv.laurent
+    c = _own_laurent(inv.g2, inv.g3)
     for j in range(len(c) - 1, 1, -1):
         acc = (acc + c[j]) * u
         dacc = (dacc + (2 * j - 2) * c[j]) * u

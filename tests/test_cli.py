@@ -186,6 +186,25 @@ class TestSemiconjCommand:
                     "abc", "--out", str(tmp_path / "x")])
         assert code == 64
 
+    def test_negative_verify_count_is_usage_error(self, tmp_path):
+        # h o g = h o id = z^2 would compare equal to h with no f at all
+        identity = json.dumps({"num": [[0, 0], [1, 0]], "den": [[1, 0]]})
+        out = tmp_path / "x"
+        code = run(["semiconj", "--verify", SQUARE_JSON, identity, SQUARE_JSON,
+                    "-5", "--out", str(out)])
+        assert code == 64
+        assert not out.exists()
+
+    @pytest.mark.parametrize("f, n", [(SQUARE_JSON, "99999999999999999999"),
+                                      (SHIFT_JSON, "100000000")], ids=["square", "moebius"])
+    def test_verify_count_beyond_the_cap_is_exit_2(self, tmp_path, capsys, f, n):
+        # neither d^N nor a chain of N maps is formed
+        start = time.perf_counter()
+        code = run(["semiconj", "--verify", f, f, f, n, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert time.perf_counter() - start < 5.0
+        assert "cap" in capsys.readouterr().err
+
 
 class TestExampleCommand:
     def test_example_1_verdict(self, tmp_path):

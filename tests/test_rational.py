@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from invarcurves.rational import (
-    _HUGE, DegreeCapExceeded, Polynomial, RationalMap, chordal,
+    _HUGE, DEGREE_CAP, DegreeCapExceeded, Polynomial, RationalMap, chordal,
     classify_multiplier, coefficient_residual, compose,
     fixed_points, homogeneous_horner, identity_residual, iterate, maps_equal,
     multiplier, poly_divmod, poly_roots, polyder, polyval, pull_back, push_forward,
@@ -308,6 +308,14 @@ class TestIterate:
         f = RationalMap(Polynomial.monomial(4))
         with pytest.raises(DegreeCapExceeded):
             iterate(f, 7, degree_cap=1000)
+
+    @pytest.mark.parametrize("f", [RationalMap([0, 0, 1]), RationalMap([1, 1])],
+                             ids=["square", "moebius"])
+    def test_huge_count_raises_before_forming_the_chain(self, f):
+        # a Moebius map keeps degree 1, but 10**8 compositions are no less work
+        for n in (DEGREE_CAP + 1, 10 ** 8, 10 ** 20):
+            with pytest.raises(DegreeCapExceeded):
+                iterate(f, n)
 
 
 class TestRoots:

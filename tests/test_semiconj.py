@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from invarcurves import curves
-from invarcurves.rational import (Polynomial, RationalMap, coefficient_residual,
-                                  compose, maps_equal)
+from invarcurves.rational import (DEGREE_CAP, DegreeCapExceeded, Polynomial, RationalMap,
+                                  coefficient_residual, compose, maps_equal)
 from invarcurves.semiconj import (SemiconjTriple, certify_triple, chebyshev,
                                   chebyshev_map, joukowski, make_power_family,
                                   make_ritt_triple, pakovich_example, power_map,
@@ -119,6 +119,21 @@ class TestDegenerateN0:
         t = SemiconjTriple(f=RationalMap([1, 2, 3]), g=RationalMap.identity(),
                            h=h, n=0)
         assert certify_triple(t) <= 1e-13   # h o id = h, no f involved
+
+
+class TestIterationCount:
+    @pytest.mark.parametrize("f", [RationalMap([0, 0, 1]), RationalMap([1, 1])],
+                             ids=["square", "moebius"])
+    def test_beyond_the_cap_raises_before_forming_the_chain(self, f):
+        with pytest.raises(DegreeCapExceeded):
+            certify_triple(SemiconjTriple(f=f, g=f, h=f, n=10 ** 20))
+        with pytest.raises(DegreeCapExceeded):
+            certify_triple(SemiconjTriple(f=f, g=f, h=f, n=DEGREE_CAP + 1))
+
+    def test_negative_raises_value_error(self):
+        h = RationalMap([0, 0, 1])
+        with pytest.raises(ValueError):
+            certify_triple(SemiconjTriple(f=h, g=RationalMap.identity(), h=h, n=-1))
 
 
 class TestChebyshev:
