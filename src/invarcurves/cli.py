@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curves, elliptic, lattes, poincare, semiconj
-from .rational import RationalMap, fixed_points
+from .rational import RationalMap, UniformStream, fixed_points
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -230,9 +230,9 @@ def cmd_poincare(args):
     else:
         report["trace"] = None
         report["note"] = "multiplier not real: F(R) is not traced"
-    rng = np.random.default_rng(args.seed)
+    rng = UniformStream(args.seed)
     zs = F.eval_radius * 8 * rng.uniform(0.05, 1.0, 100) \
-        * np.exp(2j * np.pi * rng.uniform(size=100))
+        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 100))
     report["functional_equation_residual"] = \
         poincare.functional_equation_residual(F, zs)
     _write(args.out, "report.json", _dump_json(report))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import elliptic
-from .rational import _HUGE, chordal_array, embed_points
+from .rational import _HUGE, UniformStream, chordal_array, embed_points
 
 CIRCLE_CLASS_TOL = 1e-8   # relative residual below which a trace is a circle/line
 SWEEP_CHUNK = 1 << 16     # (owner, index) entries per chunk of a sort-and-sweep
@@ -318,24 +318,36 @@ def algebraic_fit(trace, degree):
     sample order (SVD, unit-norm columns), the reported residual is the max
     of |F| over the odd-index half with unit-norm coefficients.
     """
-    expos = _monomial_exponents(degree)
+    return _algebraic_fits(trace, [degree])[0]
+
+
+def _algebraic_fits(trace, degrees):
+    """algebraic_fit at each of the ascending degrees, on one canonical sample
+    set and one table of the powers xs**i, ys**j."""
     pts = _dedupe_sorted(trace.finite_values)
-    if len(pts) < 3 * len(expos):
-        raise ValueError(
-            f"under-sampled: need >= {3 * len(expos)} samples for degree {degree}")
+    for degree in degrees:
+        need = 3 * len(_monomial_exponents(degree))
+        if len(pts) < need:
+            raise ValueError(f"under-sampled: need >= {need} samples for degree {degree}")
     center, scale, xs, ys = _normalised(pts)
-    cols = np.column_stack([xs ** i * ys ** j for (i, j) in expos])
-    fit_rows = cols[0::2]
-    val_rows = cols[1::2]
-    norms = np.linalg.norm(fit_rows, axis=0)
-    norms[norms == 0] = 1.0
-    _, sv, vt = np.linalg.svd(fit_rows / norms, full_matrices=False)
-    coef = vt[-1] / norms
-    coef = coef / np.linalg.norm(coef)
-    residual = float(np.max(np.abs(val_rows @ coef)))
-    return FitReport(degree=degree, smallest_singular_value=float(sv[-1]),
-                     residual=residual, coefficients=coef.astype(complex),
-                     exponents=expos, center=center, scale=scale)
+    x_pow = [xs ** i for i in range(degrees[-1] + 1)]
+    y_pow = [ys ** j for j in range(degrees[-1] + 1)]
+    reports = []
+    for degree in degrees:
+        expos = _monomial_exponents(degree)
+        cols = np.column_stack([x_pow[i] * y_pow[j] for (i, j) in expos])
+        fit_rows = cols[0::2]
+        val_rows = cols[1::2]
+        norms = np.linalg.norm(fit_rows, axis=0)
+        norms[norms == 0] = 1.0
+        _, sv, vt = np.linalg.svd(fit_rows / norms, full_matrices=False)
+        coef = vt[-1] / norms
+        coef = coef / np.linalg.norm(coef)
+        residual = float(np.max(np.abs(val_rows @ coef)))
+        reports.append(FitReport(degree=degree, smallest_singular_value=float(sv[-1]),
+                                 residual=residual, coefficients=coef.astype(complex),
+                                 exponents=expos, center=center, scale=scale))
+    return reports
 
 
 @dataclass
@@ -381,8 +393,7 @@ def transcendence_scan(trace, d_max):
     """
     if d_max < 1:
         raise ValueError(f"the scan needs d_max >= 1, got {d_max}")
-    reports = [algebraic_fit(trace, d) for d in range(1, d_max + 1)]
-    return TranscendenceScan(reports)
+    return TranscendenceScan(_algebraic_fits(trace, range(1, d_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +464,7 @@ def example1_xy_check(invariants, offset, seed=0):
     # on L the reflection fixes z, so X and Y reduce to Re(wp), Im(wp)
     on_line = np.linspace(0.025, 0.95, 16) * w1 + 1j * h
     # keep away from the poles so the values stay on the wp scale
-    u = np.random.default_rng(seed).uniform(size=(100, 2))
+    u = UniformStream(seed).uniform(0.0, 1.0, (100, 2))
     z0 = ((0.1 + 0.8 * u[:, 0]) * lat.g1 + (0.1 + 0.8 * u[:, 1]) * lat.g2 / 2.0
           + (0.0065 + 0.00355j) * w1)
     zr = 0.37 * w1  # a real-axis point: off L, Y need not be Im(wp)

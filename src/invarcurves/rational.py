@@ -8,6 +8,7 @@ Euclidean algorithm, and roots carry a residual bound.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -217,6 +218,92 @@ def poly_divmod(a, b):
         r[i:j] -= d * r[j]
         j -= 1
     return Polynomial(r[j + 1:] / scl), Polynomial(r[:j + 1])
+
+
+# ---------------------------------------------------------------------------
+# Seeded samples: np.random.default_rng(seed).uniform, value for value, so
+# that a cold job need not import numpy.random
+# ---------------------------------------------------------------------------
+
+_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+
+
+def _seed_hash(const, mult):
+    """SeedSequence's hashmix: each call hashes a 32-bit word with the next
+    hash constant."""
+    def hashmix(v):
+        nonlocal const
+        v ^= const
+        const = const * mult & _M32
+        v = v * const & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+def _affine128(hi, lo, a, c):
+    """(a s + c) mod 2**128 for the states s = hi 2**64 + lo of uint64 arrays."""
+    a1, a0, l1, l0 = a >> 32 & _M32, a & _M32, lo >> 32, lo & _M32
+    # the high word of the 128-bit product lo (a mod 2**64), from 32-bit parts
+    p01, p10 = l0 * a1, l1 * a0
+    mid = (l0 * a0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = (l1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+          + lo * (a >> 64) + hi * (a & _M64))
+    lo = lo * (a & _M64) + (c & _M64)
+    return hi + (lo < (c & _M64)) + (c >> 64), lo
+
+
+class UniformStream:
+    """The draws of np.random.default_rng(seed).uniform, call after call:
+    SeedSequence's mixing of the seed's 32-bit words seeds PCG64 (a 128-bit
+    LCG with XSL-RR output x), and a draw is low + (high - low) (x >> 11) 2**-53.
+    A call builds its states by jumps, s[k + m] = A_m s[k] + C_m mod 2**128."""
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _seed_hash(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(v) for v in (words + [0] * 4)[:4]]
+
+        def mix(dst, v):
+            r = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(v)) & _M32
+            pool[dst] = r ^ r >> 16
+        for src in range(4):                # every pool word into every other
+            for dst in range(4):
+                if src != dst:
+                    mix(dst, pool[src])
+        for v in words[4:]:                 # then each word beyond the pool
+            for dst in range(4):
+                mix(dst, v)
+        # generate_state(4, np.uint64): the LCG's seed and stream, 32 bits at a time
+        w = list(map(_seed_hash(0x8B51F9DD, 0x58F38DED), pool * 2))
+        self._inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
+        s = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        self._state = ((self._inc + s) * self._MULT + self._inc) & _M128
+
+    def uniform(self, low, high, size):
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        n = math.prod(shape)
+        out, a, c = np.empty(n), self._MULT, self._inc
+        s = (a * self._state + c) & _M128
+        hi, lo = np.array([s >> 64], dtype=np.uint64), np.array([s & _M64], dtype=np.uint64)
+        # one block of states by doubling, (a, c) stepping by its length; then
+        # a block at a time, in cache
+        while len(hi) < min(n, 8192):
+            hi, lo = map(np.concatenate, zip((hi, lo), _affine128(hi, lo, a, c)))
+            a, c = a * a & _M128, (a * c + c) & _M128
+        for j in range(0, n, len(hi)):
+            if j:
+                hi, lo = _affine128(hi, lo, a, c)
+            k = min(len(hi), n - j)         # the draws this block gives
+            x, rot = hi[:k] ^ lo[:k], hi[:k] >> 58
+            x = x >> rot | x << (64 - rot & 63)
+            out[j:j + k] = low + (high - low) * ((x >> 11) * 2.0 ** -53)
+            self._state = int(hi[k - 1]) << 64 | int(lo[k - 1])
+        return out.reshape(shape)
 
 
 def approx_gcd(p, q):

@@ -484,6 +484,38 @@ def dense_polyline_distance(points_emb, trace, chunk=256):
     return out
 
 
+def per_degree_scan(trace, d_max):
+    """Oracle for curves.transcendence_scan's fits: one independent
+    algebraic fit per degree, each deduplicating and normalising the samples
+    and building its own monomial columns.
+
+    Same arithmetic per degree, so the reports must be equal, not close.
+    """
+    from invarcurves.curves import (FitReport, _dedupe_sorted, _monomial_exponents,
+                                    _normalised)
+
+    reports = []
+    for degree in range(1, d_max + 1):
+        expos = _monomial_exponents(degree)
+        pts = _dedupe_sorted(trace.finite_values)
+        if len(pts) < 3 * len(expos):
+            raise ValueError(
+                f"under-sampled: need >= {3 * len(expos)} samples for degree {degree}")
+        center, scale, xs, ys = _normalised(pts)
+        cols = np.column_stack([xs ** i * ys ** j for (i, j) in expos])
+        fit_rows, val_rows = cols[0::2], cols[1::2]
+        norms = np.linalg.norm(fit_rows, axis=0)
+        norms[norms == 0] = 1.0
+        _, sv, vt = np.linalg.svd(fit_rows / norms, full_matrices=False)
+        coef = vt[-1] / norms
+        coef = coef / np.linalg.norm(coef)
+        reports.append(FitReport(degree=degree, smallest_singular_value=float(sv[-1]),
+                                 residual=float(np.max(np.abs(val_rows @ coef))),
+                                 coefficients=coef.astype(complex), exponents=expos,
+                                 center=center, scale=scale))
+    return reports
+
+
 def quadratic_injectivity_check(trace, tol_cross=1e-6, min_separation_steps=10,
                                 min_excursion=1e-3):
     """Oracle for poincare.injectivity_check: every segment against every

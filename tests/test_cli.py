@@ -141,6 +141,12 @@ class TestLattesCommand:
         for name in ("report.json", "map.json"):
             assert "NaN" not in (out / name).read_text()
 
+    def test_negative_seed_is_exit_2(self, tmp_path, capsys):
+        # SeedSequence takes non-negative integers only
+        assert run(["lattes", "--lattice", LATTICE_JSON, "--seed", "-1", "--samples", "8",
+                    "--out", str(tmp_path / "x")]) == 2
+        assert "expected non-negative integer" in capsys.readouterr().err
+
     def test_malformed_lattice_json_is_usage_error(self, tmp_path):
         code = run(["lattes", "--lattice", '{"g1": [2,0', "--out", str(tmp_path / "x")])
         assert code == 64
@@ -256,6 +262,13 @@ class TestExampleCommand:
                     "--out", str(out)]) == 0
         rows = (out / "trace.csv").read_text().splitlines()
         assert rows[0] == "parameter,re,im,is_infinite" and len(rows) == 1 + 257
+
+    def test_example_1_negative_seed_is_exit_2(self, tmp_path, capsys):
+        code = run(["example", "1", "--seed", "-3", "--samples", "64", "--dmax", "2",
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stage 'duplication residual'" in err and "non-negative" in err
 
     def test_example_3_coarse_trace_is_exit_2(self, tmp_path, capsys):
         code = run(["example", "3", "--samples", "15", "--out", str(tmp_path / "x")])

@@ -15,8 +15,8 @@ from invarcurves.lattes import lattes_from_invariants
 from invarcurves.rational import RationalMap, embed_points, iterate
 from invarcurves.semiconj import pakovich_example
 
-from conftest import (INF, dense_polyline_distance, is_infinite, rowwise_csv, rowwise_svg,
-                      sphere_values, trace_from_csv)
+from conftest import (INF, dense_polyline_distance, is_infinite, per_degree_scan, rowwise_csv,
+                      rowwise_svg, sphere_values, trace_from_csv)
 
 SQUARE = Lattice(2.0, 2j)
 INV1 = invariants_from_lattice(SQUARE)
@@ -274,6 +274,33 @@ class TestTranscendenceScan:
         scan = transcendence_scan(TRACE2, 6)
         assert not scan.transcendence_evidence
         assert scan.reports[3].residual < 1e-3   # degree 4 approximant
+
+    @pytest.mark.parametrize("lattice, thirds, d_max", [
+        (SQUARE, 1, 8),                              # example 1, and example 2's control
+        (SKEW, 1, 6),                                # example 2
+        (Lattice(2.0, 0.5 + 1.5j), 2, 8),
+    ], ids=["example1", "example2", "oblique"])
+    @pytest.mark.parametrize("n", [500, 1024])
+    def test_one_pass_scan_equals_per_degree_fits(self, lattice, thirds, d_max, n):
+        # one sample set and one power table serve every degree of the scan;
+        # each report must equal, field by field, the fit of that degree alone
+        inv = invariants_from_lattice(lattice)
+        trace = trace_wp_line(inv, lattice.g2 * thirds / 3.0, n=n)
+        scan = transcendence_scan(trace, d_max)
+        want = per_degree_scan(trace, d_max)
+        assert len(scan.reports) == len(want)
+        for got, ref in zip(scan.reports, want):
+            for name in ("degree", "smallest_singular_value", "residual", "exponents",
+                         "center", "scale", "label"):
+                assert getattr(got, name) == getattr(ref, name), name
+            assert np.array_equal(got.coefficients, ref.coefficients)
+        assert [algebraic_fit(trace, d).residual for d in (1, d_max)] \
+            == [want[0].residual, want[-1].residual]
+
+    def test_scan_names_the_first_undersampled_degree(self):
+        # 29 samples carry degree 2 (18 needed) but not degree 3 (30 needed)
+        with pytest.raises(ValueError, match="for degree 3"):
+            transcendence_scan(circle_trace(n=29), 5)
 
     @pytest.mark.parametrize("d_max", [0, -1])
     def test_scan_over_no_degree_is_refused(self, d_max):

@@ -28,6 +28,10 @@ JOBS = {
                  "--fixed-point=-1,0", "--samples", "64", "--order", "20", "--seed", "3"],
     "lattes": ["lattes", "--lattice", json.dumps({"g1": [2.0, 0.0], "g2": [0.5, 1.5]}),
                "--samples", "64", "--seed", "3"],
+    # a seed of five 32-bit words takes SeedSequence's extra-word mixing path
+    "lattes_multiword": ["lattes", "--lattice",
+                         json.dumps({"g1": [2.0, 0.0], "g2": [0.5, 1.5]}),
+                         "--samples", "64", "--seed", str(2 ** 130 + 99)],
     "semiconj": ["semiconj", "--u", SQUARE_JSON, "--v", SHIFT_JSON],
     "verify": ["semiconj", "--verify", SQUARE_JSON, SQUARE_JSON, SQUARE_JSON, "1"],
     "example1": ["example", "1", "--samples", "256", "--seed", "3"],

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from invarcurves.rational import (
-    _HUGE, DEGREE_CAP, DegreeCapExceeded, Polynomial, RationalMap, chordal,
+    _HUGE, DEGREE_CAP, DegreeCapExceeded, Polynomial, RationalMap, UniformStream, chordal,
     classify_multiplier, coefficient_residual, compose,
     fixed_points, homogeneous_horner, identity_residual, iterate, maps_equal,
     multiplier, poly_divmod, poly_roots, polyder, polyval, pull_back, push_forward,
@@ -460,3 +462,54 @@ class TestCanonicalForm:
         f = random_rational_map(rng, 3)
         g = RationalMap.from_json_dict(f.to_json_dict())
         assert coefficient_residual(f, g) == 0.0
+
+
+# seeds of one to seven 32-bit words: beyond 2**128 SeedSequence mixes the
+# words that do not fit its four-word pool in a second pass
+STREAM_SEEDS = [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 711530119, 2 ** 64 + 5, 2 ** 130 + 99,
+                2 ** 200 + 1]
+
+
+def same_draws(seed, calls):
+    """Draw calls (low, high, size) from numpy's generator and from
+    UniformStream in turn; equal element for element, with no warning.
+    Numpy is asked for [0, 1) by its defaults, uniform(size=size)."""
+    ref, ours = np.random.default_rng(seed), UniformStream(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for low, high, size in calls:
+            want = ref.uniform(size=size) if (low, high) == (0.0, 1.0) \
+                else ref.uniform(low, high, size)
+            got = ours.uniform(low, high, size)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want), (seed, low, high, size)
+
+
+class TestUniformStream:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_poincare_sequence(self, seed):
+        same_draws(seed, [(0.05, 1.0, 100), (0.0, 1.0, 100)])
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 1024, 4097])
+    def test_lattes_sequence(self, seed, n):
+        same_draws(seed, [(-0.5, 0.5, n), (-0.5, 0.5, n)])
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_example_1_draws_in_c_order(self, seed):
+        same_draws(seed, [(0.0, 1.0, (100, 2))])
+
+    def test_blocks_beyond_the_doubling(self):
+        # past 8192 draws the states come a block at a time
+        same_draws(3, [(-0.5, 0.5, 20000), (0.0, 1.0, 8193), (-0.5, 0.5, 5)])
+
+    @given(seed=st.integers(0, 2 ** 256), n=st.integers(0, 300))
+    def test_any_seed(self, seed, n):
+        same_draws(seed, [(0.05, 1.0, n), (0.0, 1.0, 100), (-0.5, 0.5, (n, 2))])
+
+    @pytest.mark.parametrize("seed", [-1, -2 ** 40])
+    def test_negative_seed_raises_as_numpy_does(self, seed):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.default_rng(seed)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            UniformStream(seed)

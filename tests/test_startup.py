@@ -44,9 +44,10 @@ PUBLIC = {
 
 
 # imports that no job of the tests below needs: numpy.ma comes with
-# np.median, numpy.polynomial loads six series families, and fractions is
-# read only by lattice_commensurability
-AVOIDABLE = ("fractions", "numpy.ma", "numpy.polynomial")
+# np.median, numpy.polynomial loads six series families, fractions is read
+# only by lattice_commensurability, and numpy.random (ten extension modules
+# and OpenSSL through secrets) draws a stream rational.UniformStream repeats
+AVOIDABLE = ("fractions", "numpy.ma", "numpy.polynomial", "numpy.random")
 
 
 def fresh(script):
@@ -107,6 +108,18 @@ def test_poincare_job_does_not_import_fractions(tmp_path):
     code, _, _, loaded = after_job(POINCARE_ARGV, tmp_path)
     assert code == 0
     assert "fractions" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattes", "--lattice", LATTICE_JSON, "--samples", "64"],
+    POINCARE_ARGV,
+    ["example", "1", "--samples", "256"],
+], ids=["lattes", "poincare", "example1"])
+def test_seeded_jobs_do_not_import_numpy_random(tmp_path, argv):
+    # rational.UniformStream draws numpy's default_rng stream itself
+    code, _, _, loaded = after_job(argv, tmp_path)
+    assert code == 0
+    assert "numpy.random" not in loaded
 
 
 def test_public_names_resolve_to_their_modules():
