@@ -31,10 +31,6 @@ class UsageError(Exception):
     pass
 
 
-class PreconditionError(Exception):
-    pass
-
-
 class CertificationError(Exception):
     pass
 
@@ -71,9 +67,16 @@ def _load_json_arg(text):
     try:
         if not text.startswith(("{", "[")):
             text = Path(text.removeprefix("@")).read_text()
-        return json.loads(text)
+        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad JSON argument: {exc}")
+
+
+def _finite_float(text):
+    """json's float reader, refusing NaN, Infinity and literals beyond the floats."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"not a finite number: {text}")
+    return value
 
 
 def _is_file(text):
@@ -137,7 +140,7 @@ class _StageRunner:
         try:
             return fn(*args, **kwargs)
         except (ValueError, ArithmeticError) as exc:
-            raise PreconditionError(f"{self.label}, stage '{name}': {exc}")
+            raise ValueError(f"{self.label}, stage '{name}': {exc}") from exc
 
 
 def _write_trace(args, trace, fit=None, fixed_map=None):
@@ -194,8 +197,8 @@ def build_parser():
     p.add_argument("which", type=int, choices=(1, 2, 3))
     p.add_argument("--p", type=float, default=math.sqrt(2.0),
                    help="real irrational part of the skew period (example 2)")
-    p.add_argument("--omega1", type=float, default=1.0)
-    p.add_argument("--omega2", type=float, default=1.0)
+    p.add_argument("--omega1", type=_positive(float, "half-period"), default=1.0)
+    p.add_argument("--omega2", type=_positive(float, "half-period"), default=1.0)
     p.add_argument("--offset-thirds", type=int, default=1,
                    help="offset = (second generator) * thirds / 3")
     p.add_argument("--hyperbola-n", type=int, default=3)
@@ -226,7 +229,7 @@ def cmd_poincare(args):
         report["trace"] = {"range": args.trace_range, "samples": args.samples}
         report["crossings"] = crossings
         report["injective_at_resolution"] = not crossings
-        report["repelling_multipliers_on_trace_real"] = realness.all_real
+        report["repelling_multipliers_on_trace_real"] = realness
     else:
         report["trace"] = None
         report["note"] = "multiplier not real: F(R) is not traced"
@@ -400,7 +403,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PreconditionError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CertificationError as exc:

@@ -174,8 +174,8 @@ def _flat_runs(starts, lengths):
 # Traces of wp along a line
 # ---------------------------------------------------------------------------
 
-def trace_wp_line(invariants, offset, t_range=None, n=1024):
-    """Samples of wp(t + offset) for real t; one period gives a closed trace.
+def trace_wp_line(invariants, offset, n=1024):
+    """Closed trace of wp(t + offset) over the real period t in [0, g1).
 
     The offset must not be lattice-equivalent to the real axis, where the
     image can degenerate or hit poles.
@@ -186,24 +186,11 @@ def trace_wp_line(invariants, offset, t_range=None, n=1024):
     if abs(rep.imag) <= 1e-12 * abs(lat.g2):
         raise ValueError("offset is lattice-equivalent to the real axis: "
                          "the traced line runs through poles or degenerates")
-    if t_range is None:
-        if abs(lat.g1.imag) > 1e-12 * abs(lat.g1):
-            raise ValueError("default period range needs a real first generator")
-        t_range = (0.0, lat.g1.real)
-        closed = True
-    else:
-        closed = False
-    t0, t1 = float(t_range[0]), float(t_range[1])
-    reverse = t0 > t1
-    if reverse:
-        t0, t1 = t1, t0
-    ts = t0 + (t1 - t0) * np.arange(n) / n if closed \
-        else np.linspace(t0, t1, n)
-    values = invariants.wp(ts + offset)
-    if reverse:
-        # same point set, opposite traversal (parameters stay increasing)
-        values = values[::-1].copy()
-    return CurveTrace(ts, values, closed=closed, source=f"wp-line(offset={offset!r})")
+    if abs(lat.g1.imag) > 1e-12 * abs(lat.g1):
+        raise ValueError("default period range needs a real first generator")
+    ts = lat.g1.real * np.arange(n) / n
+    return CurveTrace(ts, invariants.wp(ts + offset), closed=True,
+                      source=f"wp-line(offset={offset!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +249,9 @@ def _dedupe_sorted(points):
     if len(pts) == 0:
         return pts
     _, _, x, y = _normalised(pts)
-    keys = np.round(x, 12) + 1j * np.round(y, 12)
-    order = np.lexsort((keys.imag, keys.real))
-    pts = pts[order]
-    keys = keys[order]
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = (np.diff(keys.real) != 0) | (np.diff(keys.imag) != 0)
-    return pts[keep]
+    # return_index sorts stably: each key keeps its first sample
+    _, first = np.unique(np.round(x, 12) + 1j * np.round(y, 12), return_index=True)
+    return pts[first]
 
 
 def _normalised(pts):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .rational import _INF, RationalMap, pull_back, push_forward
+from .rational import _INF, RationalMap, polyval, pull_back, push_forward
 
 ZETA4 = math.pi ** 4 / 90.0
 ZETA6 = math.pi ** 6 / 945.0
@@ -212,14 +212,12 @@ class EllipticInvariants:
         # division by 2 is exact: the pulled-back points carry no rounding
         z, depth = pull_back(z[live], 2.0, shortest / 4.0, MAX_HALVINGS)
         u = z * z
-        c = self._laurent
-        acc = dacc = 0j
-        for k in range(len(c) - 1, 1, -1):
-            acc = (acc + c[k]) * u
-            if derivative:
-                dacc = (dacc + (2 * k - 2) * c[k]) * u
-        w = 1.0 / u + acc
-        d = -2.0 / (u * z) + dacc / z if derivative else None
+        # the sums stay the left factor: numpy may fuse a complex product's
+        # multiply-add, which then rounds differently with the operands swapped
+        c = self._laurent[2:]
+        w = 1.0 / u + polyval(u, c) * u
+        d = -2.0 / (u * z) + polyval(u, np.arange(2, 2 * len(c) + 2, 2) * c) * u / z \
+            if derivative else None
         climbed = push_forward(self._duplication_map, w, depth, d)
         with np.errstate(over="ignore"):    # wp of a tiny lattice leaves the float range
             for out, v, power in zip(values, climbed if derivative else (climbed,),

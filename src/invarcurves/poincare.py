@@ -8,7 +8,7 @@ order-k coefficients of Q(F(z)) F(lambda z) and P(F(z)) are linear in c_k,
 with the never-vanishing pivot Q(a) (lambda^k - lambda).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -287,39 +287,12 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
     return crossings
 
 
-@dataclass
-class MultiplierRealness:
-    location: complex
-    multiplier: complex
-    distance_to_trace: float
-    is_real: bool
-
-
-@dataclass
-class MultiplierRealnessReport:
-    """Repelling fixed points near a trace and whether their multipliers
-    are real, as invariance of an analytic curve through them demands."""
-    checked: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-
-    @property
-    def all_real(self):
-        return all(e.is_real for e in self.checked)
-
-
 def multiplier_real_check(f, trace):
-    """Check realness, to 1e-8 relative, of multipliers at repelling fixed
-    points within 0.05 (chordal) of the trace polyline."""
-    report = MultiplierRealnessReport()
+    """Are the multipliers at the repelling fixed points within 0.05
+    (chordal) of the trace polyline real, to 1e-8 relative, as invariance
+    of an analytic curve through them demands?  True when none is near."""
     repelling = [info for info in fixed_points(f) if info.kind == REPELLING]
     values = np.array([i.location for i in repelling], dtype=complex)
     dists = points_to_polyline_distance(embed_points(values), trace)
-    for info, dist in zip(repelling, dists.tolist()):
-        lam = info.multiplier
-        entry = MultiplierRealness(info.location, lam, dist,
-                                   abs(lam.imag) <= 1e-8 * max(1.0, abs(lam)))
-        if dist <= 0.05:
-            report.checked.append(entry)
-        else:
-            report.skipped.append(entry)
-    return report
+    return all(abs(info.multiplier.imag) <= 1e-8 * max(1.0, abs(info.multiplier))
+               for info, dist in zip(repelling, dists.tolist()) if dist <= 0.05)

@@ -16,7 +16,7 @@ TAU_GCD = 1e-10      # relative tolerance for approximate common factors
 TAU_ROOT = 1e-10     # scaled residual bound for polynomial roots
 TAU_CLASS = 1e-9     # classification band around |multiplier| = 1
 TAU_IDENTITY = 1e-9  # unit-circle sampling tolerance for map identity
-DEGREE_CAP = 4096    # default cap on composition/iteration degree growth
+DEGREE_CAP = 4096    # cap on composition/iteration degree growth
 
 SUPERATTRACTING = "superattracting"
 ATTRACTING = "attracting"
@@ -29,16 +29,11 @@ _INF = complex(math.inf, 0.0)
 
 
 class DegreeCapExceeded(ValueError):
-    """Composition or iteration would exceed the configured degree cap."""
+    """Composition or iteration would exceed DEGREE_CAP."""
 
 
-class RootConvergenceError(RuntimeError):
+class RootConvergenceError(ArithmeticError):
     """Simultaneous root iteration failed to reach the residual target."""
-
-    def __init__(self, message, best_roots=None, residuals=None):
-        super().__init__(message)
-        self.best_roots = best_roots
-        self.residuals = residuals
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +354,7 @@ def poly_roots(p):
     deriv = polyder(coeffs)
     radius = min(1.0 + float(np.max(np.abs(coeffs[:-1]) / abs(coeffs[-1]))), 4.0)
 
-    best = None
+    worst = []           # per attempt: its largest scaled residual
     for attempt in range(3):
         angles = 2 * np.pi * (np.arange(n) / n + 0.376 + 0.21 * attempt)
         z = 0.7 * radius * (1.0 + 0.12 * attempt) * np.exp(1j * angles)
@@ -378,14 +373,8 @@ def poly_roots(p):
             denom = 1.0 - w * s
             denom = np.where(np.abs(denom) < 1e-280, 1.0, denom)
             z = z - w / denom
-        resid = np.abs(polyval(z, coeffs)) / np.maximum(1.0, np.abs(z)) ** n
-        if best is None or resid.max() < best[1].max():
-            best = (z, resid)
-    raise RootConvergenceError(
-        f"root iteration stalled (worst scaled residual {best[1].max():.3e})",
-        best_roots=np.concatenate([zero_roots, best[0]]),
-        residuals=best[1],
-    )
+        worst.append(np.max(np.abs(polyval(z, coeffs)) / np.maximum(1.0, np.abs(z)) ** n))
+    raise RootConvergenceError(f"root iteration stalled (worst scaled residual {min(worst):.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +458,7 @@ class RationalMap:
     # -- algebra ------------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, RationalMap):
-            return RationalMap(self.num * other.num, self.den * other.den)
-        return RationalMap(self.num * other, self.den, reduce=False)
-
-    __rmul__ = __mul__
+        return RationalMap(self.num * other.num, self.den * other.den)
 
     def __pow__(self, n):
         """Pointwise power f(z)^n (not iteration); powers of a coprime pair
@@ -585,24 +570,24 @@ def homogeneous_horner(f, p, q):
     return pn, qn
 
 
-def compose(f, g, degree_cap=DEGREE_CAP):
+def compose(f, g):
     """The composition f(g(z)) as a rational map."""
-    if f.degree * g.degree > degree_cap:
+    if f.degree * g.degree > DEGREE_CAP:
         raise DegreeCapExceeded(
-            f"composition degree {f.degree * g.degree} exceeds cap {degree_cap}")
+            f"composition degree {f.degree * g.degree} exceeds cap {DEGREE_CAP}")
     # composition of coprime maps is coprime; skip the gcd pass
     return RationalMap(*homogeneous_horner(f, g.num, g.den), reduce=False)
 
 
-def iterate(f, n, degree_cap=DEGREE_CAP):
+def iterate(f, n):
     """The n-fold composition f o f o ... o f, n >= 1."""
     if n < 1:
         raise ValueError("iteration count must be >= 1")
-    if n > degree_cap or f.degree ** n > degree_cap:     # n first: no d^n of a huge n
-        raise DegreeCapExceeded(f"{n} iterates of a degree-{f.degree} map exceed cap {degree_cap}")
+    if n > DEGREE_CAP or f.degree ** n > DEGREE_CAP:     # n first: no d^n of a huge n
+        raise DegreeCapExceeded(f"{n} iterates of a degree-{f.degree} map exceed cap {DEGREE_CAP}")
     out = f
     for _ in range(n - 1):
-        out = compose(out, f, degree_cap=degree_cap)
+        out = compose(out, f)
     return out
 
 

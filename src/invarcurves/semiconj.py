@@ -55,8 +55,6 @@ def certify_triple(triple):
 
 def make_ritt_triple(u, v):
     """f = u o v, g = v o u, h = u; then h o g = u o v o u = f o h."""
-    if u.degree * v.degree > DEGREE_CAP:
-        raise DegreeCapExceeded("u o v exceeds the degree cap")
     return SemiconjTriple(f=compose(u, v), g=compose(v, u), h=u, n=1)
 
 

@@ -304,9 +304,11 @@ class TestExampleCommand:
         assert "stage 'hyperbola equation'" in capsys.readouterr().err
 
     def test_stage_failure_names_the_stage(self, tmp_path, capsys):
-        code = run(["example", "1", "--omega1", "0", "--out", str(tmp_path / "x")])
+        # offset 0 is a lattice point: the traced line runs through poles
+        code = run(["example", "1", "--offset-thirds", "0", "--samples", "64",
+                    "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "stage 'lattice'" in capsys.readouterr().err
+        assert "stage 'trace'" in capsys.readouterr().err
 
     def test_bad_config_is_usage_error(self, tmp_path):
         code = run(["example", "1", "--samples", "-5", "--out", str(tmp_path / "x")])
@@ -382,6 +384,38 @@ class TestArgumentValidation:
         assert run(["lattes", "--lattice", LATTICE_JSON, "--samples", "64",
                     "--out", str(out)]) == 64
         assert "cannot write" in capsys.readouterr().err
+
+    # json reads NaN, Infinity and 1e400 as floats; such a coefficient or
+    # generator is refused before any map or lattice is built
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("where", ["map-num", "map-den", "u", "lattice"])
+    def test_non_finite_json_number_is_usage_error(self, tmp_path, capsys, where, number):
+        bad = f'{{"num": [[{number}, 0], [0, 0], [1, 0]], "den": [[1, 0]]}}'
+        argv = {
+            "map-num": ["poincare", "--map", bad, "--fixed-point", "1,0"],
+            "map-den": ["poincare", "--map",
+                        f'{{"num": [[0, 0], [0, 0], [1, 0]], "den": [[{number}, 0]]}}',
+                        "--fixed-point", "1,0"],
+            "u": ["semiconj", "--u", bad, "--v", SQUARE_JSON],
+            "lattice": ["lattes", "--lattice", f'{{"g1": [{number}, 0], "g2": [0, 1]}}'],
+        }[where]
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv + ["--samples", "64", "--order", "20", "--out", str(out)]) == 64
+        assert not caught, [str(w.message) for w in caught]
+        assert f"not a finite number: {number}" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Lattice orders its generators, so a negative half-period would move
+    # example 1's offset onto the real axis
+    @pytest.mark.parametrize("flag", ["--omega1", "--omega2"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_non_positive_half_period_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run(["example", "1", f"{flag}={value}", "--out", str(out)]) == 64
+        assert "half-period must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infinite_tolerance_is_valid(self, tmp_path):
         out = tmp_path / "x"

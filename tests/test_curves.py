@@ -99,11 +99,6 @@ class TestTraceWpLine:
         # a, the x^2+y^2 coefficient, vanishes for a line
         assert abs(report.coefficients[0]) < 1e-8
 
-    def test_reversed_range_reverses_order(self):
-        fwd = trace_wp_line(INV1, OFFSET1, t_range=(0.25, 0.75), n=64)
-        rev = trace_wp_line(INV1, OFFSET1, t_range=(0.75, 0.25), n=64)
-        assert np.allclose(rev.values, fwd.values[::-1])
-
     def test_lattice_offset_rejected(self):
         with pytest.raises(ValueError):
             trace_wp_line(INV1, 0.0)

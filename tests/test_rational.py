@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from invarcurves import rational
 from invarcurves.rational import (
-    _HUGE, DEGREE_CAP, DegreeCapExceeded, Polynomial, RationalMap, UniformStream, chordal,
+    _HUGE, DEGREE_CAP, DegreeCapExceeded, Polynomial, RationalMap, RootConvergenceError,
+    UniformStream, chordal,
     classify_multiplier, coefficient_residual, compose,
     fixed_points, homogeneous_horner, identity_residual, iterate, maps_equal,
     multiplier, poly_divmod, poly_roots, polyder, polyval, pull_back, push_forward,
@@ -243,9 +245,9 @@ class TestCompose:
         assert coefficient_residual(compose(RationalMap.identity(), f), f) < 1e-12
 
     def test_degree_cap(self):
-        f = RationalMap(Polynomial.monomial(10))
+        f = RationalMap(Polynomial.monomial(65))     # 65^2 = 4225 > DEGREE_CAP
         with pytest.raises(DegreeCapExceeded):
-            compose(f, f, degree_cap=50)
+            compose(f, f)
 
     def test_compose_eval_consistency(self, rng):
         for degree in (2, 3):
@@ -309,7 +311,7 @@ class TestIterate:
     def test_degree_cap(self):
         f = RationalMap(Polynomial.monomial(4))
         with pytest.raises(DegreeCapExceeded):
-            iterate(f, 7, degree_cap=1000)
+            iterate(f, 7)                            # 4^7 = 16384 > DEGREE_CAP
 
     @pytest.mark.parametrize("f", [RationalMap([0, 0, 1]), RationalMap([1, 1])],
                              ids=["square", "moebius"])
@@ -321,6 +323,15 @@ class TestIterate:
 
 
 class TestRoots:
+    def test_stall_is_an_arithmetic_error(self, monkeypatch):
+        # no root meets a zero residual bound, so every attempt runs out
+        monkeypatch.setattr(rational, "TAU_ROOT", 0.0)
+        with pytest.raises(RootConvergenceError, match="worst scaled residual") as info:
+            poly_roots(Polynomial([-2, 0, 1]))
+        assert isinstance(info.value, ArithmeticError)     # the CLI's exit 2
+        # the best attempt found the roots +-sqrt(2) to rounding
+        assert float(str(info.value).rsplit(" ", 1)[1].rstrip(")")) < 1e-15
+
     def test_quadratics(self):
         r = sorted(poly_roots(Polynomial([-1, 0, 1])), key=lambda z: z.real)
         assert abs(r[0] + 1) < 1e-12 and abs(r[1] - 1) < 1e-12
