@@ -51,6 +51,17 @@ def _positive(kind, noun):
     return parse
 
 
+def _finite(parse):
+    """argparse type: a value of parse that is a finite number."""
+    def finite(text):
+        value = parse(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        return value
+    finite.__name__ = parse.__name__
+    return finite
+
+
 def _formats(text):
     formats = set(text.split(","))
     if not formats <= FORMATS:
@@ -67,7 +78,8 @@ def _load_json_arg(text):
     try:
         if not text.startswith(("{", "[")):
             text = Path(text.removeprefix("@")).read_text()
-        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float,
+                          parse_int=_float_range_int)
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad JSON argument: {exc}")
 
@@ -76,6 +88,16 @@ def _finite_float(text):
     """json's float reader, refusing NaN, Infinity and literals beyond the floats."""
     if not math.isfinite(value := float(text)):
         raise ValueError(f"not a finite number: {text}")
+    return value
+
+
+def _float_range_int(text):
+    """json's int reader, refusing integers beyond the floats, which every
+    number of a map or lattice becomes."""
+    try:
+        float(value := int(text))
+    except OverflowError:
+        raise ValueError(f"integer beyond the float range ({len(text)} digits)") from None
     return value
 
 
@@ -195,10 +217,10 @@ def build_parser():
 
     p = subs.add_parser("example", help="run a scripted reproduction pipeline")
     p.add_argument("which", type=int, choices=(1, 2, 3))
-    p.add_argument("--p", type=float, default=math.sqrt(2.0),
+    p.add_argument("--p", type=_finite(float), default=math.sqrt(2.0),
                    help="real irrational part of the skew period (example 2)")
-    p.add_argument("--omega1", type=_positive(float, "half-period"), default=1.0)
-    p.add_argument("--omega2", type=_positive(float, "half-period"), default=1.0)
+    p.add_argument("--omega1", type=_finite(_positive(float, "half-period")), default=1.0)
+    p.add_argument("--omega2", type=_finite(_positive(float, "half-period")), default=1.0)
     p.add_argument("--offset-thirds", type=int, default=1,
                    help="offset = (second generator) * thirds / 3")
     p.add_argument("--hyperbola-n", type=int, default=3)

@@ -16,7 +16,9 @@ from . import elliptic
 from .rational import _HUGE, UniformStream, chordal_array, embed_points
 
 CIRCLE_CLASS_TOL = 1e-8   # relative residual below which a trace is a circle/line
-SWEEP_CHUNK = 1 << 16     # (owner, index) entries per chunk of a sort-and-sweep
+SWEEP_CHUNK = 1 << 16     # entries per chunk of a sweep or of a box-pair split
+LEAF_LEVEL = 2            # blocks of 2^LEAF_LEVEL segments are paired segment by segment
+TOP_BLOCKS = 32           # block pairs of the box table are split from <= this many blocks
 
 
 class CurveTrace:
@@ -136,24 +138,169 @@ def segment_pair_distance(a1, b1, a2, b2):
     return np.linalg.norm(p1 - p2, axis=-1), p1, p2
 
 
-def _overlapping_boxes(lo, hi):
-    """Index pairs (i < j) of boxes [lo, hi] that overlap on every axis.
+def _norm(d):
+    """Norms of the columns of a (3, n) array, rounded as np.linalg.norm
+    rounds rows of three; spelled out over components, which is faster."""
+    dx, dy, dz = d
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
 
-    Sort-and-sweep on the axis of largest extent: after sorting by lower
-    bound, the boxes that start inside box p are the run of positions
-    p + 1 .. end - 1, with end found by searchsorted.  Yields index arrays
-    in chunks (see _flat_runs).
+
+def _meet(bp, bq, pad):
+    """Do boxes (lo, -hi), padded by pad, overlap on every axis?  Padding
+    subtracts pad from (lo, -hi); the boxes meet where their intersection
+    has lo <= hi."""
+    meet = np.maximum(bp, bq)
+    meet -= pad
+    return (meet[:3] + meet[3:]).max(axis=0) <= 0
+
+
+def _far_vertices(v, p, r):
+    """Mask of the columns of v (3, n) at distance >= r from those of p."""
+    return _norm(v - p) >= r
+
+
+class SegmentBoxes:
+    """Bounding boxes of the segments [a[s], b[s]] of a path and of every
+    aligned block of 2^k consecutive segments, in path order.
+
+    Level k holds block q, the segments q 2^k .. (q + 1) 2^k - 1 (the last
+    block of a level may be short); each box is the pairwise min/max of two
+    boxes of level k - 1, so the table has about 2n boxes.  Boxes are tight:
+    each face of a block's box holds one of its vertices.  Column c of the
+    (6, columns) table holds a box as (lo, -hi), so that the box of a union
+    is one np.minimum.  A level of odd length (but one) ends in the empty
+    box, and so does the table.
     """
-    n = len(lo)
-    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
-    order = np.argsort(lo[:, axis], kind="stable")
-    lo, hi = lo[order], hi[order]
-    start = np.arange(1, n + 1)
-    run = np.searchsorted(lo[:, axis], hi[:, axis], side="right") - start
-    for p, q in _flat_runs(start, run):
-        keep = np.all((lo[q] <= hi[p]) & (lo[p] <= hi[q]), axis=1)
-        i, j = order[p[keep]], order[q[keep]]
-        yield np.minimum(i, j), np.maximum(i, j)
+
+    def __init__(self, a, b):
+        self.vertices = np.vstack([a, b[-1:]]).T.copy()     # vertex k starts segment k
+        count = [len(a)]
+        while count[-1] > 1:
+            count[-1] += count[-1] % 2
+            count.append(count[-1] // 2)
+        self.count = np.array(count)
+        self.first = np.concatenate([[0], np.cumsum(self.count)])
+        self.box = box = np.full((6, self.first[-1] + 1), np.inf)
+        np.minimum(a.T, b.T, out=box[:3, :len(a)])
+        np.negative(np.maximum(a.T, b.T), out=box[3:, :len(a)])
+        for k in range(1, len(count)):
+            f0, f1 = self.first[k - 1], self.first[k]
+            np.minimum(box[:, f0: f1: 2], box[:, f0 + 1: f1: 2],
+                       out=box[:, f1: f1 + count[k - 1] // 2])
+        self.empty = self.first[-1]
+
+    def pairs(self, pad, min_steps, min_spread):
+        """Index arrays (i, j), j - i >= min_steps >= 1, of the segments
+        whose boxes, padded by pad, overlap on every axis, leaving out pairs
+        whose vertices i .. j + 1 fit in a box of diagonal below min_spread.
+
+        Block pairs are split from the first level of at most TOP_BLOCKS
+        blocks down to blocks of 2^LEAF_LEVEL segments, and only those
+        that can hold such a pair are split: their padded boxes overlap,
+        they hold two segments min_steps apart, and their run is not below
+        min_spread.  Each block pair carries the box of the blocks strictly
+        between its two blocks (empty for a block with itself), which the
+        spread test needs besides their own boxes.  So a run of segments at
+        one point costs about the blocks that cover it, not its pairs.  The
+        last blocks are paired segment by segment, without the spread test.
+        At most SWEEP_CHUNK block or segment pairs are handled at a time,
+        depth first, so one partial chunk per level is pending: memory
+        O(n + SWEEP_CHUNK log n).
+        """
+        box, first = self.box, self.first
+        k = int(np.argmax(self.count <= TOP_BLOCKS))
+        leaf = min(k, LEAF_LEVEL)
+        top = box[:, first[k]: first[k + 1]]
+        p, q = np.triu_indices(top.shape[1])
+        # the union of blocks p + 1 .. q - 1 of the top level
+        blocks = np.arange(top.shape[1])
+        run = np.minimum.accumulate(
+            np.where(blocks[None, :] > blocks[:, None], top[:, None, :], np.inf), axis=2)
+        gap = np.concatenate([np.full((6, len(blocks), 1), np.inf), run[:, :, :-1]], axis=2)
+        # block pairs are held by their columns in the table
+        stack = [(k, first[k] + p, first[k] + q, gap[:, p, q])]
+        while stack:
+            k, p, q, gap = stack.pop()
+            if len(p) > SWEEP_CHUNK:
+                stack.append((k, p[SWEEP_CHUNK:], q[SWEEP_CHUNK:], gap[:, SWEEP_CHUNK:]))
+                p, q, gap = p[:SWEEP_CHUNK], q[:SWEEP_CHUNK], gap[:, :SWEEP_CHUNK]
+            bp, bq = box.take(p, axis=1), box.take(q, axis=1)
+            span = np.minimum(bp, bq)
+            np.minimum(span, gap, out=span)
+            span = span[:3] + span[3:]      # minus the extents
+            keep = ((q - p >= min_steps >> k) & _meet(bp, bq, pad)
+                    & ((span * span).sum(axis=0) >= min_spread * min_spread))
+            p, q, gap = p[keep], q[keep], gap[:, keep]
+            if k == leaf:
+                yield from self._segment_pairs(k, p - first[k], q - first[k], pad, min_steps)
+                continue
+            # the children of p and q (a child past the end is the empty box,
+            # and (2p + 1, 2p) fails the step test); of two distinct blocks,
+            # the children 2p + 1 and 2q may lie between two children
+            k -= 1
+            apart = p < q
+            p, q = 2 * p + (first[k] - 2 * first[k + 1]), 2 * q + (first[k] - 2 * first[k + 1])
+            p1 = p + 1
+            with_a = np.minimum(gap, box.take(np.where(apart, p1, self.empty), axis=1))
+            with_b = box.take(np.where(apart, q, self.empty), axis=1)
+            stack.append((k, np.concatenate([p, p, p1, p1]),
+                          np.concatenate([q, q + 1, q, q + 1]),
+                          np.concatenate([with_a, np.minimum(with_a, with_b), gap,
+                                          np.minimum(gap, with_b)], axis=1)))
+
+    def _segment_pairs(self, k, p, q, pad, min_steps):
+        """The segment pairs of block pairs (p, q) of level k that are
+        min_steps apart and whose padded boxes overlap."""
+        offset = np.arange(1 << k)
+        step = max(SWEEP_CHUNK >> 2 * k, 1)
+        for s in range(0, len(p), step):
+            i, j = np.broadcast_arrays((p[s: s + step] << k)[:, None, None] + offset[:, None],
+                                       (q[s: s + step] << k)[:, None, None] + offset)
+            i, j = i.ravel(), j.ravel()
+            keep = (j - i >= min_steps) & (j < self.vertices.shape[1] - 1)
+            i, j = i[keep], j[keep]
+            keep = _meet(self.box.take(i, axis=1), self.box.take(j, axis=1), pad)
+            yield i[keep], j[keep]
+
+    def any_far(self, start, stop, p, r):
+        """Mask: does a vertex of segments start[h] .. stop[h] - 1 lie at
+        distance >= r from p[:, h], as _far_vertices rounds it?
+
+        The middle vertex of each run is measured first: across a crossing
+        it usually lies far.  The rest of the range is covered by O(log n)
+        aligned blocks, and a block decides by its box where it can.
+        Rounding is monotone, so the farthest face of a tight box, measured
+        as an offset with two zero components, is a distance that some
+        vertex reaches, and the farthest corner is one that no vertex
+        exceeds.  Only the vertices of the blocks left undecided are
+        measured.
+        """
+        far = _far_vertices(np.take(self.vertices, (start + stop) // 2, axis=1), p, r)
+        h = np.flatnonzero(~far)
+        # the bottom-up cover of [start, stop): level k takes block
+        # ceil(start / 2^k) if odd, and block floor(stop / 2^k) - 1 if
+        # floor(stop / 2^k) is odd, while the two differ
+        shift = np.arange(len(self.count))
+        left = -(-start[h, None] >> shift)
+        right = stop[h, None] >> shift
+        on = left < right
+        take_left, take_right = on & (left % 2 == 1), on & (right % 2 == 1)
+        owner, level = (np.concatenate(x) for x in zip(np.nonzero(take_left),
+                                                       np.nonzero(take_right)))
+        owner = h[owner]
+        block = np.concatenate([left[take_left], right[take_right] - 1])
+        box = np.take(self.box, self.first[level] + block, axis=1)
+        q = np.take(p, owner, axis=1)
+        reach = np.maximum(-(box[3:] + q), q - box[:3])
+        face = np.maximum(np.maximum(reach[0], reach[1]), reach[2])
+        far[owner[np.sqrt(face * face) >= r]] = True
+        open_ = ~far[owner] & (_norm(reach) >= r)
+        owner, level, block = owner[open_], level[open_], block[open_]
+        first = block << level
+        size = np.minimum(first + (1 << level), self.vertices.shape[1] - 1) - first
+        for h, k in _flat_runs(first, size + 1):
+            far[owner[h[_far_vertices(self.vertices[:, k], p[:, owner[h]], r)]]] = True
+        return far
 
 
 def _flat_runs(starts, lengths):

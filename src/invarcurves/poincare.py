@@ -8,12 +8,13 @@ order-k coefficients of Q(F(z)) F(lambda z) and P(F(z)) are linear in c_k,
 with the never-vanishing pivot Q(a) (lambda^k - lambda).
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (CurveTrace, _flat_runs, _overlapping_boxes, _segments,
-                     points_to_polyline_distance, segment_pair_distance)
+from .curves import (CurveTrace, SegmentBoxes, _segments, points_to_polyline_distance,
+                     segment_pair_distance)
 from .rational import (_HUGE, TAU_CLASS, REPELLING, chordal, chordal_array,
                        embed_points, fixed_points, multiplier, polyval, pull_back,
                        push_forward)
@@ -21,6 +22,7 @@ from .rational import (_HUGE, TAU_CLASS, REPELLING, chordal, chordal_array,
 TAIL_TARGET = 1e-13      # per-term series tail at the working radius
 CANCEL_CAP = 10.0        # largest intermediate Horner term, in units of scale
 TAU_CROSS = 1e-6         # chordal threshold for self-crossing detection
+EXCURSION = 1e-3         # chordal excursion that makes a near pair a crossing
 MAX_PULLBACK = 8000      # pull-back steps by 1/lambda before evaluate gives up
 
 
@@ -211,20 +213,26 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
 
     A pair is reported when two parameter-separated segments pass within
     tol_cross (chordal) of each other *and* the curve leaves the meeting
-    point in between (excursion filter: a trace converging into an endpoint
-    clusters without crossing).  Empty list: no crossing at this resolution.
-    A closed trace includes its closing segment and measures parameter
-    separation around the seam.  Candidate pairs come from a sort-and-sweep
-    over segment bounding boxes padded by tol_cross, so the result is that
-    of comparing every pair of segments, in near-linear time on a curve.
+    point in between: some vertex of the run from one segment to the other
+    lies EXCURSION away (a trace converging into an endpoint clusters
+    without crossing).  Empty list: no crossing at this resolution.  A
+    closed trace includes its closing segment and measures parameter
+    separation around the seam.  The result is that of comparing every pair
+    of segments, from one table of segment and block bounding boxes
+    (curves.SegmentBoxes): candidates come from block pairs whose boxes,
+    padded by tol_cross, overlap and whose runs can hold an excursion, and
+    the excursion is decided from O(log n) boxes per pair.  On a curve that
+    is near-linear time.  It is not where many segments pass near one
+    another with excursions in between, as on a curve retraced many times:
+    there the candidates themselves are quadratic in number.
 
     Only whether the list is empty is stable: where the curve retraces
-    itself, which near-tied pairs survive depends on last-digit rounding.
+    itself, which near-tied pairs survive the suppression depends on
+    last-digit rounding.
     """
     if len(trace) < 2:
         raise ValueError("need at least two samples")
-    emb = trace.embedded()
-    a, b = _segments(emb, trace.closed)
+    a, b = _segments(trace.embedded(), trace.closed)
     m = min_separation_steps
     params = trace.params
     # the median step, as np.median computes it; np.median itself would
@@ -233,20 +241,22 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
     half = len(gaps) // 2
     step = float(gaps[half] if len(gaps) % 2 else (gaps[half - 1] + gaps[half]) / 2)
     min_gap = m * step
-    # segment k runs from ends[k] to ends[k + 1] through path[k], path[k + 1]
-    ends, path, period = params, emb, None
+    # segment k runs from ends[k] to ends[k + 1]
+    ends, period = params, None
     if trace.closed:
         period = params[-1] - params[0] + step
         ends = np.append(params, params[0] + period)
-        path = np.vstack([emb, emb[:1]])
-    coords = path.T.copy()
+    boxes = SegmentBoxes(a, b)
     # a few ulps of the unit sphere on top of tol_cross keep every pair whose
-    # rounded distance is <= tol_cross among the candidates
-    pad = tol_cross + 8 * np.finfo(float).eps
-    found = []
-    for i, j in _overlapping_boxes(np.minimum(a, b) - pad, np.maximum(a, b) + pad):
-        keep = j - i >= m
-        i, j = i[keep], j[keep]
+    # rounded distance is <= tol_cross among the candidates; the meeting
+    # point rounds within a few ulps of its segment, so a run that fits in a
+    # box of diagonal EXCURSION - 64 eps holds no vertex EXCURSION from it
+    eps = np.finfo(float).eps
+    pad = tol_cross + 8 * eps
+    found = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
+    for i, j in boxes.pairs(pad, max(m, 1), EXCURSION - 64 * eps):
+        if not len(i):
+            continue
         gap = ends[j] - ends[i + 1]
         if period is not None:
             gap = np.minimum(gap, period - (ends[j + 1] - ends[i]))
@@ -255,36 +265,50 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
         d, p1, _ = segment_pair_distance(a[i], b[i], a[j], b[j])
         near = d <= tol_cross
         i, j, d, p1 = i[near], j[near], d[near], p1[near]
-        # excursion: does any vertex from i to j + 1 lie 1e-3 away?
-        # The norm is spelled out over coordinate columns: np.linalg.norm
-        # rounds it the same way but reduces over rows of three slowly.
-        far = np.zeros(len(i), dtype=bool)
-        for h, k in _flat_runs(i, j - i + 2):
-            dx, dy, dz = (c[k] - c1[h] for c, c1 in zip(coords, p1.T))
-            far[h[np.sqrt((dx * dx + dy * dy) + dz * dz) >= 1e-3]] = True
+        far = boxes.any_far(i, j + 1, p1.T, EXCURSION)
         found.append((i[far], j[far], d[far]))
     i, j, d = (np.concatenate(x) for x in zip(*found))
-    order = np.lexsort((j, i))
-    order = order[np.argsort(d[order], kind="stable")]
-    # greedy suppression by distance: a taken pair (i2, j2) blocks pairs
-    # within m steps in both indices, which lie in neighbouring buckets
-    width = max(m, 1)
+    order = np.lexsort((j, i, d))
+    i, j, d = i[order], j[order], d[order]
+    taken = np.array(_greedy_suppression(i, j, m), dtype=int)
+    taken = taken[np.lexsort((j[taken], i[taken]))]
     infinite = trace.infinite        # a property: O(n) per access
-    taken = {}
     crossings = []
-    for i, j, d in zip(i[order].tolist(), j[order].tolist(), d[order].tolist()):
-        bi, bj = i // width, j // width
-        if any(abs(i - i2) < m and abs(j - j2) < m
-               for di in (-1, 0, 1) for dj in (-1, 0, 1)
-               for i2, j2 in taken.get((bi + di, bj + dj), ())):
-            continue
-        taken.setdefault((bi, bj), []).append((i, j))
+    for i, j, d in zip(i[taken].tolist(), j[taken].tolist(), d[taken].tolist()):
         mid = 0.5 * (trace.values[i] + trace.values[i + 1]) \
             if not (infinite[i] or infinite[i + 1]) else trace.values[i]
         crossings.append(Crossing(s=float(params[i]), t=float(params[j]),
                                   point=mid, distance=d))
-    crossings.sort(key=lambda c: (c.s, c.t))
     return crossings
+
+
+def _greedy_suppression(i, j, m):
+    """Indices of the pairs (i, j), in the given order, that the greedy
+    keeps: a pair is dropped when an earlier kept pair lies within m steps
+    in both indices.
+
+    The loop runs over the kept pairs only.  Each drops its later
+    conflicts, found by bisection among the pairs sorted on (i // m, j) in
+    three runs, one per neighbouring bucket of i.
+    """
+    w = max(m, 1)
+    width = int(j.max(initial=0)) + 2 * w
+    key = i // w * width + j
+    by_key = np.argsort(key, kind="stable")
+    keys, by_key = key[by_key].tolist(), by_key.tolist()
+    il, jl = i.tolist(), j.tolist()
+    open_ = bytearray(b"\x01") * len(il)
+    kept = []
+    v = open_.find(1)
+    while v >= 0:
+        kept.append(v)
+        iv, kv = il[v], il[v] // w * width + jl[v]
+        for base in (kv - width, kv, kv + width):
+            for u in by_key[bisect_right(keys, base - m): bisect_left(keys, base + m)]:
+                if u > v and abs(il[u] - iv) < m:
+                    open_[u] = 0
+        v = open_.find(1, v + 1)
+    return kept
 
 
 def multiplier_real_check(f, trace):

@@ -417,6 +417,32 @@ class TestArgumentValidation:
         assert "half-period must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    # a half-period or skew real part of inf (or 1e400, read as inf) would
+    # reach Lattice, which then reports the generators as parallel
+    @pytest.mark.parametrize("flag, which", [("--omega1", "1"), ("--omega2", "1"), ("--p", "2")])
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+    def test_non_finite_real_flag_is_usage_error(self, tmp_path, capsys, flag, which, value):
+        out = tmp_path / "x"
+        assert run(["example", which, f"{flag}={value}", "--samples", "64",
+                    "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "finite" in err or "positive" in err
+        assert not out.exists()
+
+    # json reads a 401-digit integer as an int, which no coefficient or
+    # generator can become
+    @pytest.mark.parametrize("where", ["map", "lattice"])
+    def test_integer_beyond_the_float_range_is_usage_error(self, tmp_path, capsys, where):
+        big = "1" + "0" * 400
+        argv = {"map": ["poincare", "--map", f'{{"num": [[0, 0], [0, 0], [{big}, 0]]}}',
+                        "--fixed-point", "1,0"],
+                "lattice": ["lattes", "--lattice", f'{{"g1": [{big}, 0], "g2": [0, 1]}}']}[where]
+        out = tmp_path / "x"
+        assert run(argv + ["--samples", "64", "--order", "20", "--out", str(out)]) == 64
+        assert "integer beyond the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_tolerance_is_valid(self, tmp_path):
         out = tmp_path / "x"
         assert run(["semiconj", "--u", SQUARE_JSON, "--v", SQUARE_JSON,

@@ -175,6 +175,80 @@ class TestPolylineDistance:
                                   dense_polyline_distance(images, trace))
 
 
+class TestSegmentBoxes:
+    @staticmethod
+    def path(rng):
+        """A random walk on one of three scales, with runs parked at one point."""
+        v = np.cumsum(rng.choice([1e-5, 1e-3, 0.1]) * rng.normal(size=(int(rng.integers(2, 200)), 3)),
+                      axis=0)
+        for _ in range(int(rng.integers(3))):
+            s = int(rng.integers(len(v)))
+            v[s: s + int(rng.integers(1, 40))] = v[s]
+        return v
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_pairs_lie_between_the_exact_sets(self, seed, chunk, monkeypatch):
+        # every pair that overlaps and whose run spans the spread comes out,
+        # and only pairs that overlap
+        rng = np.random.default_rng(seed)
+        v = self.path(rng)
+        a, b = v[:-1], v[1:]
+        pad, steps, spread = 1e-4, int(rng.integers(1, 12)), 1e-3
+        monkeypatch.setattr(curves, "SWEEP_CHUNK", chunk)
+        got = set()
+        for i, j in curves.SegmentBoxes(a, b).pairs(pad, steps, spread):
+            got |= set(zip(i.tolist(), j.tolist()))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        exact, certain = set(), set()
+        for i in range(len(a)):
+            for j in range(i + steps, len(a)):
+                if np.all(lo[i] - pad <= hi[j] + pad) and np.all(lo[j] - pad <= hi[i] + pad):
+                    exact.add((i, j))
+                    if np.linalg.norm(np.ptp(v[i: j + 2], axis=0)) >= spread * (1 + 1e-9):
+                        certain.add((i, j))
+        assert certain <= got <= exact
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", ["walk", "line", "point"])
+    def test_any_far_equals_the_vertex_scan(self, shape, seed):
+        # "line": a run along one axis, with p r +- 3 ulps behind its last
+        # vertex, where a box face alone decides; "point": a path parked at
+        # 0, r +- 3 ulps from p along a diagonal, where a corner does, then
+        # parked at p, where the middle vertex of each run lies
+        rng = np.random.default_rng(seed)
+        m, r = 300, 1e-3
+        v = self.path(rng)
+        n = len(v) - 1
+        start = rng.integers(n, size=m)
+        stop = np.minimum(start + rng.integers(1, n + 1, size=m), n)
+        if shape == "walk":
+            p = v[start + (rng.uniform(size=m) * (stop - start + 1)).astype(int)]
+            p = p + rng.normal(scale=r, size=(m, 3))
+        else:
+            axis = int(rng.integers(3))
+            reach = r + rng.integers(-3, 4, size=m) * np.spacing(r)
+            if shape == "line":
+                v = np.zeros_like(v)
+                v[:, axis] = np.cumsum(rng.uniform(0.0, 1e-6, n + 1))
+                direction = np.eye(3)[axis]
+                p = v[stop] - reach[:, None] * direction
+            else:
+                direction = np.ones(3) * rng.choice([-1.0, 1.0], size=3)
+                direction[axis] = 0.0
+                direction /= np.linalg.norm(direction)
+                v = np.zeros((2 * n + 2, 3))
+                v[n + 1:] = -r * direction
+                start, stop = rng.integers(n + 1, size=m), np.full(m, 2 * n + 1)
+                p = -reach[:, None] * direction
+        got = curves.SegmentBoxes(v[:-1], v[1:]).any_far(start, stop, p.T.copy(), r)
+        want = [np.any(np.linalg.norm(v[s: e + 1] - q, axis=1) >= r)
+                for s, e, q in zip(start, stop, p)]
+        assert got.tolist() == want
+        if shape != "walk":
+            assert 0 < sum(want) < m
+
+
 class TestCircleFit:
     def test_unit_circle(self):
         report = circle_fit(circle_trace())

@@ -436,6 +436,60 @@ class TestScanMatchesQuadraticOracle:
         # collecting them all first peaks at 27 MB here
         assert peak < 8e6
 
+    # the cosh linearizer retraces the real segment [-2, 2]: each crossing
+    # comes with hundreds of near pairs at distance 0 and an excursion
+    @pytest.mark.parametrize("t_max, count", [(20.0, 42), (100.0, 125)])
+    def test_retraced_cosh_trace(self, t_max, count):
+        F = poincare.solve_coefficients(SHIFTED, 2.0, order=40)
+        trace = poincare.trace_real_axis(F, t_max, 2001)
+        got = poincare.injectivity_check(trace)
+        assert len(got) == count
+        assert got == quadratic_injectivity_check(trace)
+
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_excursion_vertex_at_the_threshold(self, outside):
+        # segments 0 and 6 cross at 0; the run between them stays 8.5e-4
+        # from the meeting point but for vertex 2, on the real axis at x,
+        # whose rounded distance steps across EXCURSION between two floats
+        a = 1e-5
+
+        def trace(x):
+            z = [-a, a, x, 3e-4 + 3e-4j, -2e-4 + 2e-4j, -2e-4 - 2e-4j, -1j * a, 1j * a]
+            return CurveTrace(np.arange(8.0), np.array(z))
+
+        def excursion(x):
+            emb = trace(x).embedded()
+            _, p1, _ = curves.segment_pair_distance(emb[0:1], emb[1:2], emb[6:7], emb[7:8])
+            return np.linalg.norm(emb[2:3] - p1, axis=1)[0]     # rounded as the oracle
+
+        lo, hi = 4e-4, 6e-4
+        while lo < (mid := lo + (hi - lo) / 2) < hi:
+            lo, hi = (mid, hi) if excursion(mid) < poincare.EXCURSION else (lo, mid)
+        x = hi if outside else lo
+        assert (excursion(x) >= poincare.EXCURSION) == outside
+        assert abs(excursion(x) - poincare.EXCURSION) <= 4 * np.spacing(poincare.EXCURSION)
+        got = poincare.injectivity_check(trace(x), min_separation_steps=3)
+        assert len(got) == outside
+        assert got == quadratic_injectivity_check(trace(x), min_separation_steps=3)
+
+    def test_excursion_scan_is_not_cubic(self, monkeypatch):
+        # exp over [-1000, 1000]: runs of L ~ n / 3 samples at 0 and at
+        # infinity hold ~L^2 near pairs.  Scanning each pair's run, as the
+        # quadratic oracle does, measures ~L^3 / 6 vertices; the box table
+        # measures at most n log n
+        far_vertices, scanned = curves._far_vertices, []
+
+        def counted(v, p, r):
+            scanned[-1] += v.shape[1]
+            return far_vertices(v, p, r)
+
+        monkeypatch.setattr(curves, "_far_vertices", counted)
+        for n in (1001, 2001, 4001):
+            trace = poincare.trace_real_axis(EXP, 1000.0, n)
+            scanned.append(0)
+            assert poincare.injectivity_check(trace) == []
+            assert scanned[-1] <= n * math.log2(n)
+
 
 class TestMultiplierRealness:
     def test_square_on_unit_circle(self):
