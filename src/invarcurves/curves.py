@@ -16,9 +16,7 @@ from . import elliptic
 from .rational import _HUGE, UniformStream, chordal_array, embed_points
 
 CIRCLE_CLASS_TOL = 1e-8   # relative residual below which a trace is a circle/line
-SWEEP_CHUNK = 1 << 16     # entries per chunk of a sweep or of a box-pair split
-LEAF_LEVEL = 2            # blocks of 2^LEAF_LEVEL segments are paired segment by segment
-TOP_BLOCKS = 32           # block pairs of the box table are split from <= this many blocks
+SWEEP_CHUNK = 1 << 16     # box-table pairs split, or vertices measured, at a time
 
 
 class CurveTrace:
@@ -80,34 +78,19 @@ def _segments(emb, closed):
 def points_to_polyline_distance(points_emb, trace):
     """Min euclidean (= chordal) distance from each point to the polyline.
 
-    Exact: every segment that can attain a point's minimum is measured.
-    Segments are sorted by the lower end of their bounding box on the axis
-    of largest extent.  A point's distance r to the 8 segment starts nearest
-    in that order bounds its minimum, so only segments whose boxes come
-    within r of it can attain the minimum; on the sort axis they form one
-    run, found by searchsorted and padded by the longest box extent.
+    Exact: every segment that can attain a point's minimum is measured, and
+    only those that SegmentBoxes.near leaves, about two a point on a trace
+    that the points lie near.
     """
     p = np.atleast_2d(points_emb)
     a, b = _segments(trace.embedded(), trace.closed)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
-    order = np.argsort(lo[:, axis], kind="stable")
-    a, lo, hi = a[order], lo[order], hi[order]
-    d = b[order] - a
+    d = b - a
     dd = np.einsum("ij,ij->i", d, d)
     dd[dd == 0] = 1.0
-    key, x = lo[:, axis], p[:, axis]
-    near = np.clip(np.searchsorted(key, x)[:, None] + np.arange(-4, 4), 0, len(a) - 1)
+    out = np.full(len(p), np.inf)
     # computed distances on the unit sphere round within a few eps, so this
     # pad keeps every segment whose rounded distance can equal the minimum
-    r = np.linalg.norm(p[:, None, :] - a[near], axis=2).min(axis=1) \
-        + 32 * np.finfo(float).eps
-    start = np.searchsorted(key, x - r - (hi[:, axis] - key).max())
-    stop = np.searchsorted(key, x + r, side="right")
-    out = np.full(len(p), np.inf)
-    for o, s in _flat_runs(start, stop - start):
-        keep = np.all((lo[s] <= p[o] + r[o, None]) & (p[o] - r[o, None] <= hi[s]), axis=1)
-        o, s = o[keep], s[keep]
+    for o, s in SegmentBoxes(a, b).near(p.T.copy(), 32 * np.finfo(float).eps):
         ap = p[o] - a[s]
         t = np.clip(np.einsum("ij,ij->i", ap, d[s]) / dd[s], 0.0, 1.0)
         np.minimum.at(out, o, np.linalg.norm(p[o] - (a[s] + t[:, None] * d[s]), axis=1))
@@ -194,31 +177,20 @@ class SegmentBoxes:
         whose boxes, padded by pad, overlap on every axis, leaving out pairs
         whose vertices i .. j + 1 fit in a box of diagonal below min_spread.
 
-        Block pairs are split from the first level of at most TOP_BLOCKS
-        blocks down to blocks of 2^LEAF_LEVEL segments, and only those
-        that can hold such a pair are split: their padded boxes overlap,
-        they hold two segments min_steps apart, and their run is not below
-        min_spread.  Each block pair carries the box of the blocks strictly
-        between its two blocks (empty for a block with itself), which the
-        spread test needs besides their own boxes.  So a run of segments at
-        one point costs about the blocks that cover it, not its pairs.  The
-        last blocks are paired segment by segment, without the spread test.
-        At most SWEEP_CHUNK block or segment pairs are handled at a time,
-        depth first, so one partial chunk per level is pending: memory
+        Block pairs are split from the top block down to single segments,
+        and only those that can hold such a pair are kept: their padded
+        boxes overlap, they hold two segments min_steps apart, and their run
+        is not below min_spread.  Each block pair carries the box of the
+        blocks strictly between its two blocks (empty for a block with
+        itself), which the spread test needs besides their own boxes.  So a
+        run of segments at one point costs about the blocks that cover it,
+        not its pairs.  At most SWEEP_CHUNK block pairs are handled at a
+        time, depth first, so one partial chunk per level is pending: memory
         O(n + SWEEP_CHUNK log n).
         """
         box, first = self.box, self.first
-        k = int(np.argmax(self.count <= TOP_BLOCKS))
-        leaf = min(k, LEAF_LEVEL)
-        top = box[:, first[k]: first[k + 1]]
-        p, q = np.triu_indices(top.shape[1])
-        # the union of blocks p + 1 .. q - 1 of the top level
-        blocks = np.arange(top.shape[1])
-        run = np.minimum.accumulate(
-            np.where(blocks[None, :] > blocks[:, None], top[:, None, :], np.inf), axis=2)
-        gap = np.concatenate([np.full((6, len(blocks), 1), np.inf), run[:, :, :-1]], axis=2)
-        # block pairs are held by their columns in the table
-        stack = [(k, first[k] + p, first[k] + q, gap[:, p, q])]
+        # block pairs by their table columns: the top block with itself
+        stack = [(len(first) - 2, first[-2:-1], first[-2:-1], box[:, self.empty:])]
         while stack:
             k, p, q, gap = stack.pop()
             if len(p) > SWEEP_CHUNK:
@@ -231,8 +203,8 @@ class SegmentBoxes:
             keep = ((q - p >= min_steps >> k) & _meet(bp, bq, pad)
                     & ((span * span).sum(axis=0) >= min_spread * min_spread))
             p, q, gap = p[keep], q[keep], gap[:, keep]
-            if k == leaf:
-                yield from self._segment_pairs(k, p - first[k], q - first[k], pad, min_steps)
+            if k == 0:
+                yield p, q
                 continue
             # the children of p and q (a child past the end is the empty box,
             # and (2p + 1, 2p) fails the step test); of two distinct blocks,
@@ -248,19 +220,35 @@ class SegmentBoxes:
                           np.concatenate([with_a, np.minimum(with_a, with_b), gap,
                                           np.minimum(gap, with_b)], axis=1)))
 
-    def _segment_pairs(self, k, p, q, pad, min_steps):
-        """The segment pairs of block pairs (p, q) of level k that are
-        min_steps apart and whose padded boxes overlap."""
-        offset = np.arange(1 << k)
-        step = max(SWEEP_CHUNK >> 2 * k, 1)
-        for s in range(0, len(p), step):
-            i, j = np.broadcast_arrays((p[s: s + step] << k)[:, None, None] + offset[:, None],
-                                       (q[s: s + step] << k)[:, None, None] + offset)
-            i, j = i.ravel(), j.ravel()
-            keep = (j - i >= min_steps) & (j < self.vertices.shape[1] - 1)
-            i, j = i[keep], j[keep]
-            keep = _meet(self.box.take(i, axis=1), self.box.take(j, axis=1), pad)
-            yield i[keep], j[keep]
+    def near(self, p, pad):
+        """(point, segment) index arrays holding, for each column h of p
+        (3, n), every segment whose box comes within r[h] of p[:, h]; r[h]
+        is pad plus the least distance from p[:, h] to the middle vertex of
+        a block met, a bound never above that block's far corner.  Points
+        descend from the top block four blocks a step (two to level 0), at
+        most SWEEP_CHUNK pairs at a time: memory O(n + SWEEP_CHUNK log n).
+        """
+        nearest = np.full(p.shape[1], np.inf)   # squared distance to a vertex
+        stack = [(len(self.count) - 1, np.arange(p.shape[1]), np.zeros(p.shape[1], int))]
+        while stack:
+            k, o, q = stack.pop()
+            if len(o) > SWEEP_CHUNK:
+                stack.append((k, o[SWEEP_CHUNK:], q[SWEEP_CHUNK:]))
+                o, q = o[:SWEEP_CHUNK], q[:SWEEP_CHUNK]
+            x = p.take(o, axis=1)
+            v = self.vertices.take((2 * q + 1 << k) >> 1, axis=1, mode="clip") - x
+            np.minimum.at(nearest, o, np.einsum("ij,ij->j", v, v))
+            # a child past the end of its level is the empty box
+            box = self.box.take(np.where(q < self.count[k], self.first[k] + q, self.empty), axis=1)
+            gap = np.maximum(np.maximum(box[:3] - x, box[3:] + x), 0.0)   # lo - x, x - hi
+            r = np.sqrt(nearest) + pad
+            keep = np.einsum("ij,ij->j", gap, gap) <= (r * r)[o]
+            o, q, step = o[keep], q[keep], min(k, 2)
+            if k == 0:
+                yield o, q
+            else:
+                stack.append((k - step, np.repeat(o, 1 << step),
+                              ((q[:, None] << step) + np.arange(1 << step)).ravel()))
 
     def any_far(self, start, stop, p, r):
         """Mask: does a vertex of segments start[h] .. stop[h] - 1 lie at
@@ -453,7 +441,7 @@ def algebraic_fit(trace, degree):
 
 def _algebraic_fits(trace, degrees):
     """algebraic_fit at each of the ascending degrees, on one canonical sample
-    set and one table of the powers xs**i, ys**j."""
+    set and one table of the monomials xs**i * ys**j of the top degree."""
     pts = _dedupe_sorted(trace.finite_values)
     for degree in degrees:
         need = 3 * len(_monomial_exponents(degree))
@@ -462,18 +450,30 @@ def _algebraic_fits(trace, degrees):
     center, scale, xs, ys = _normalised(pts)
     x_pow = [xs ** i for i in range(degrees[-1] + 1)]
     y_pow = [ys ** j for j in range(degrees[-1] + 1)]
+    top = _monomial_exponents(degrees[-1])
+    table = np.empty((len(pts), len(top)))
+    for c, (i, j) in enumerate(top):
+        np.multiply(x_pow[i], y_pow[j], out=table[:, c])
+    column = {e: c for c, e in enumerate(top)}
+    # a C-order column sum adds row by row, so each norm and each scaled
+    # entry is the one a degree's own columns give
+    norms = np.linalg.norm(table[0::2], axis=0)
+    norms[norms == 0] = 1.0
+    scaled, val = table[0::2] / norms, table[1::2].copy()
     reports = []
     for degree in degrees:
         expos = _monomial_exponents(degree)
-        cols = np.column_stack([x_pow[i] * y_pow[j] for (i, j) in expos])
-        fit_rows = cols[0::2]
-        val_rows = cols[1::2]
-        norms = np.linalg.norm(fit_rows, axis=0)
-        norms[norms == 0] = 1.0
-        _, sv, vt = np.linalg.svd(fit_rows / norms, full_matrices=False)
-        coef = vt[-1] / norms
+        c = [column[e] for e in expos]
+        fit = scaled.take(c, axis=1)
+        # from 11/6 rows a column on, LAPACK's dgesdd itself factors QR and
+        # takes the SVD of R; from 2 rows a column this is bit for bit its
+        # result, without forming U, but not in the band below
+        if len(fit) >= 2 * len(expos):
+            fit = np.linalg.qr(fit, mode="r")
+        _, sv, vt = np.linalg.svd(fit, full_matrices=False)
+        coef = vt[-1] / norms[c]
         coef = coef / np.linalg.norm(coef)
-        residual = float(np.max(np.abs(val_rows @ coef)))
+        residual = float(np.max(np.abs(val.take(c, axis=1) @ coef)))
         reports.append(FitReport(degree=degree, smallest_singular_value=float(sv[-1]),
                                  residual=residual, coefficients=coef.astype(complex),
                                  exponents=expos, center=center, scale=scale))

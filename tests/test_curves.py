@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -175,6 +176,61 @@ class TestPolylineDistance:
                                   dense_polyline_distance(images, trace))
 
 
+    @pytest.fixture
+    def measured(self, monkeypatch):
+        """[count] of the (point, segment) pairs that are measured."""
+        count = [0]
+        near = curves.SegmentBoxes.near
+
+        def counting(boxes, p, pad):
+            for o, s in near(boxes, p, pad):
+                count[0] += len(o)
+                yield o, s
+        monkeypatch.setattr(curves.SegmentBoxes, "near", counting)
+        return count
+
+    @pytest.mark.parametrize("lattice", [Lattice(2.0, 0.5 + 1.5j), Lattice(1.0, 0.3 + 0.8j),
+                                         Lattice(2.0, 2.6j)], ids=["oblique", "skew", "tall"])
+    def test_lattes_images_measure_few_segments(self, lattice, measured):
+        # examples 1 and 2 push a wp-line through its Lattes map
+        inv = invariants_from_lattice(lattice)
+        trace = trace_wp_line(inv, lattice.g2 / 3.0, n=1024)
+        images = embed_points(lattes_from_invariants(inv).map.eval_array(trace.values))
+        got = curves.points_to_polyline_distance(images, trace)
+        assert measured[0] <= 4 * len(images)
+        assert np.array_equal(got, dense_polyline_distance(images, trace))
+
+    def test_points_far_from_a_long_trace_measure_few_segments(self, measured):
+        # the images of the central third of a 24 001-sample hyperbola of
+        # example 3 at n = 5 lie up to 0.145 from it; a bound from the
+        # points' own neighbourhood measured most of its segments for each
+        ex = pakovich_example(5, n_samples=24001)
+        m = len(ex.trace)
+        images = embed_points(ex.map.eval_array(ex.trace.values[m // 3: 2 * m // 3: 3]))
+        got = curves.points_to_polyline_distance(images, ex.trace)
+        assert measured[0] <= 4 * len(images)
+        assert got.max() > 0.1
+        assert np.array_equal(got[::37], dense_polyline_distance(images[::37], ex.trace))
+
+
+    def test_equidistant_points_are_measured_in_chunks(self, monkeypatch):
+        # the poles are equidistant from every segment of the equator, so all
+        # 64 x 4096 (point, segment) pairs are measured: 22 MB at once, about
+        # 2 MB in chunks of 2048
+        th = np.linspace(0, 2 * np.pi, 4097)[:-1]
+        trace = CurveTrace(th, np.exp(1j * th), closed=True)
+        poles = embed_points(np.array([0j, INF] * 32))
+        monkeypatch.setattr(curves, "SWEEP_CHUNK", 2048)
+        tracemalloc.start()
+        try:
+            got = curves.points_to_polyline_distance(poles, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert np.array_equal(got, dense_polyline_distance(poles, trace))
+
+
 class TestSegmentBoxes:
     @staticmethod
     def path(rng):
@@ -349,20 +405,25 @@ class TestTranscendenceScan:
         (SKEW, 1, 6),                                # example 2
         (Lattice(2.0, 0.5 + 1.5j), 2, 8),
     ], ids=["example1", "example2", "oblique"])
-    @pytest.mark.parametrize("n", [500, 1024])
-    def test_one_pass_scan_equals_per_degree_fits(self, lattice, thirds, d_max, n):
-        # one sample set and one power table serve every degree of the scan;
-        # each report must equal, field by field, the fit of that degree alone
+    # 2048 is the largest trace of the benchmark; at n = 135 .. 170 a degree-8
+    # fit has 68 .. 85 rows on 45 columns, about LAPACK's 11/6 rows a column
+    @pytest.mark.parametrize("ns", [(500,), (1024,), (2048,), tuple(range(135, 171))],
+                             ids=["500", "1024", "2048", "lapack-band"])
+    def test_one_pass_scan_equals_per_degree_fits(self, lattice, thirds, d_max, ns):
+        # one sample set and one power table serve every degree of the scan,
+        # and tall fits go through QR first; each report must equal, field by
+        # field, the direct SVD fit of that degree alone
         inv = invariants_from_lattice(lattice)
-        trace = trace_wp_line(inv, lattice.g2 * thirds / 3.0, n=n)
-        scan = transcendence_scan(trace, d_max)
-        want = per_degree_scan(trace, d_max)
-        assert len(scan.reports) == len(want)
-        for got, ref in zip(scan.reports, want):
-            for name in ("degree", "smallest_singular_value", "residual", "exponents",
-                         "center", "scale", "label"):
-                assert getattr(got, name) == getattr(ref, name), name
-            assert np.array_equal(got.coefficients, ref.coefficients)
+        for n in ns:
+            trace = trace_wp_line(inv, lattice.g2 * thirds / 3.0, n=n)
+            scan = transcendence_scan(trace, d_max)
+            want = per_degree_scan(trace, d_max)
+            assert len(scan.reports) == len(want)
+            for got, ref in zip(scan.reports, want):
+                for name in ("degree", "smallest_singular_value", "residual", "exponents",
+                             "center", "scale", "label"):
+                    assert getattr(got, name) == getattr(ref, name), (n, name)
+                assert np.array_equal(got.coefficients, ref.coefficients), n
         assert [algebraic_fit(trace, d).residual for d in (1, d_max)] \
             == [want[0].residual, want[-1].residual]
 
