@@ -7,6 +7,8 @@ configuration all outputs are byte-identical across runs.
 """
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import sys
@@ -416,6 +418,10 @@ def cmd_example(args):
 
 
 def main(argv=None):
+    """Run one job.  On the process's own argv (a cold job, not a caller's), gc.freeze at
+    exit spares it the final collections; unlike os._exit, atexit and stdio flush still run."""
+    if argv is None:
+        atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

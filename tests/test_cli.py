@@ -30,6 +30,13 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def child_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestPoincareCommand:
     def test_golden_exponential(self, tmp_path):
         out = tmp_path / "run"
@@ -461,12 +468,35 @@ class TestRuntimeDependencies:
             f"assert cli.main(['example', '1', '--samples', '1536', "
             f"'--out', {str(tmp_path / 'e1')!r}]) == 0\n"
             "print('scipy' in sys.modules)\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
+
+
+def out_files(out):
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+class TestColdProcess:
+    # one small job per exit code: 0, 2 (attracting fixed point), 3 (a
+    # tolerance below the residual) and 64 (malformed JSON)
+    @pytest.mark.parametrize("argv, code", [
+        (["lattes", "--lattice", LATTICE_JSON, "--samples", "64"], 0),
+        (["poincare", "--map", SQUARE_JSON, "--fixed-point", "0,0"], 2),
+        (["lattes", "--lattice", LATTICE_JSON, "--samples", "64", "--tol", "1e-300"], 3),
+        (["lattes", "--lattice", '{"g1": [2,0'], 64),
+    ], ids=["ok", "precondition", "certification", "usage"])
+    def test_a_cold_job_ends_as_an_in_process_one(self, tmp_path, capsys, argv, code):
+        # the benchmark's own line: main() on the process's argv, whose exit
+        # skips the final collections and must lose no output with them
+        assert run(argv + ["--out", str(tmp_path / "warm")]) == code
+        err = capsys.readouterr().err
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from invarcurves.cli import main; "
+             "sys.exit(main())", *argv, "--out", str(tmp_path / "cold")],
+            env=child_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (code, err)
+        assert out_files(tmp_path / "cold") == out_files(tmp_path / "warm")
 
 
 # argv pieces for the fuzz test: extreme and malformed values next to valid

@@ -182,3 +182,38 @@ def test_unknown_name_raises_attribute_error():
         except AttributeError as exc:
             print(json.dumps(str(exc)))
     """) == "module 'invarcurves' has no attribute 'no_such_name'"
+
+
+def frozen_at_exit(script):
+    """Whether gc.freeze had run by the last atexit handler of a fresh
+    interpreter running script.  The observer is registered first, so it
+    runs after every handler that script registers (atexit is last in,
+    first out)."""
+    return fresh("import atexit, gc, json\n"
+                 "atexit.register(lambda: print(json.dumps(gc.get_freeze_count() > 0)))\n"
+                 + textwrap.dedent(script))
+
+
+def test_main_on_the_process_argv_freezes_at_exit(tmp_path):
+    # a cold job spares its exit the collections over numpy's objects
+    argv = ["invarcurves", "lattes", "--lattice", LATTICE_JSON, "--samples", "64",
+            "--out", str(tmp_path / "out")]
+    assert frozen_at_exit(f"""
+        import sys
+        from invarcurves.cli import main
+        sys.argv = {argv!r}
+        assert main() == 0
+    """) is True
+
+
+def test_main_on_an_explicit_argv_keeps_the_exit(tmp_path):
+    argv = ["lattes", "--lattice", LATTICE_JSON, "--samples", "64",
+            "--out", str(tmp_path / "out")]
+    assert frozen_at_exit(f"""
+        from invarcurves.cli import main
+        assert main({argv!r}) == 0
+    """) is False
+
+
+def test_importing_the_cli_keeps_the_exit():
+    assert frozen_at_exit("import invarcurves.cli") is False
