@@ -121,10 +121,15 @@ def _complex_arg(text):
     try:
         if "," in text:
             re, im = text.split(",")
-            return complex(float(re), float(im))
-        return complex(text)
+            z = complex(float(re), float(im))
+        else:
+            z = complex(text)
     except ValueError:
         raise UsageError(f"bad complex number: {text!r}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise UsageError(f"--fixed-point must be a finite number, got {text!r} "
+                         "(for a fixed point at infinity, conjugate by 1/z first)")
+    return z
 
 
 def _json_value(obj):

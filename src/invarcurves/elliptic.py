@@ -156,9 +156,9 @@ class EllipticInvariants:
     wp is evaluated in the frame Lambda / 2^e, where 2^e is the power of two
     of the shortest lattice vector (math.frexp): there the invariants, the
     Laurent data and the duplication map are O(1) whatever the lattice's
-    size, and wp and wp' scale back by 2^-2e and 2^-3e.  Scaling by a power
-    of two is exact, so the frame changes no value that stays finite without
-    it.  `duplication` holds the lattice's own coefficients.
+    size, and wp scales back by 2^-2e.  Scaling by a power of two is exact,
+    so the frame changes no value that stays finite without it.
+    `duplication` holds the lattice's own coefficients.
     """
 
     __slots__ = ("lattice", "g2", "g3", "duplication", "base_radius",
@@ -188,24 +188,15 @@ class EllipticInvariants:
 
     def wp(self, z):
         """wp(z): a complex for a scalar z, a complex array for an array;
-        complex inf at lattice points."""
-        return self._climb(z, False)[0]
-
-    def wp_prime(self, z):
-        """(wp(z), wp'(z)), scalars or arrays as for wp."""
-        return self._climb(z, True)
-
-    def _climb(self, z, derivative):
-        """wp (and wp') in the frame: reduce to the centred cell, pull each
-        point back by 2 into the disc |z| <= shortest/4 where the Laurent
-        series is accurate, then push it forward through the duplication map
-        f: the linearizer's climb (rational.pull_back, push_forward) and its
-        rule for infinity; lattice points give complex inf.  wp' climbs as
-        (f^k)'(wp(z/2^k)) wp'(z/2^k) = 2^k wp'(z), scaled back exactly."""
+        complex inf at lattice points.  In the frame, reduce to the centred
+        cell, pull each point back by 2 into the disc |z| <= shortest/4
+        where the Laurent series is accurate, push it forward through the
+        duplication map f (the linearizer's climb and rule for infinity,
+        rational.pull_back and push_forward), and scale back by 2^-2e."""
         z = np.asarray(z, dtype=complex)
         shape, z = z.shape, z.ravel()
         e = self._exponent
-        values = [np.full(len(z), _INF) for _ in range(1 + derivative)]
+        out = np.full(len(z), _INF)
         z = reduce_to_fundamental(self._cell, z * math.ldexp(1.0, -e))
         shortest = math.ldexp(4.0 * self.base_radius, -e)
         live = np.flatnonzero(np.abs(z) > 1e-14 * shortest)
@@ -214,17 +205,12 @@ class EllipticInvariants:
         u = z * z
         # the sums stay the left factor: numpy may fuse a complex product's
         # multiply-add, which then rounds differently with the operands swapped
-        c = self._laurent[2:]
-        w = 1.0 / u + polyval(u, c) * u
-        d = -2.0 / (u * z) + polyval(u, np.arange(2, 2 * len(c) + 2, 2) * c) * u / z \
-            if derivative else None
-        climbed = push_forward(self._duplication_map, w, depth, d)
+        w = 1.0 / u + polyval(u, self._laurent[2:]) * u
+        w = push_forward(self._duplication_map, w, depth)
         with np.errstate(over="ignore"):    # wp of a tiny lattice leaves the float range
-            for out, v, power in zip(values, climbed if derivative else (climbed,),
-                                     (-2 * e, -3 * e - depth)):
-                out.real[live] = np.ldexp(v.real, power)
-                out.imag[live] = np.ldexp(v.imag, power)
-        return tuple(v.reshape(shape) if shape else complex(v[0]) for v in values)
+            out.real[live] = np.ldexp(w.real, -2 * e)
+            out.imag[live] = np.ldexp(w.imag, -2 * e)
+        return out.reshape(shape) if shape else complex(out[0])
 
     def to_json_dict(self):
         return {"lattice": self.lattice, "g2": self.g2, "g3": self.g3}

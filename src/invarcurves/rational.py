@@ -465,10 +465,6 @@ class RationalMap:
         stay coprime, so no gcd pass is needed."""
         return RationalMap(self.num ** n, self.den ** n, reduce=False)
 
-    def derivative(self):
-        w = self.num.derivative() * self.den - self.num * self.den.derivative()
-        return RationalMap(w, self.den * self.den, reduce=False)
-
     def derivative_at(self, z):
         """f'(z) at finite z, by the quotient rule (no map construction)."""
         z = complex(z)
@@ -527,27 +523,18 @@ def pull_back(z, mu, radius, max_steps):
     return out, depth
 
 
-def push_forward(f, w, depth, dw=None):
+def push_forward(f, w, depth):
     """Send each w[i] through f.eval_array depth[i] times, deepest first so
-    that each step runs over the prefix still climbing; with dw, also carry
-    dw[i] to (f^depth[i])'(w[i]) dw[i] by the chain rule.  This is the climb
+    that each step runs over the prefix still climbing.  This is the climb
     of the Poincare functions Phi(mu z) = f(Phi(z)), the linearizer and wp,
     under eval_array's rule for w and every step: not finite or beyond _HUGE
-    is complex inf.  From a pole on the derivative is inf, never nan."""
+    is complex inf."""
     order = np.argsort(-depth, kind="stable")
     depth, w = depth[order], np.where(np.abs(w) <= _HUGE, w, np.inf)[order]
-    if dw is not None:
-        dw, fprime = dw[order], f.derivative()
     for s in range(1, int(depth.max(initial=0)) + 1):
         m = int(np.searchsorted(-depth, -s, side="right"))
-        fw = f.eval_array(w[:m])
-        if dw is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = fprime.eval_array(w[:m]) * dw[:m]
-            dw[:m] = np.where(np.isfinite(d) & np.isfinite(fw), d, np.inf)
-        w[:m] = fw
-    back = np.argsort(order)
-    return w[back] if dw is None else (w[back], dw[back])
+        w[:m] = f.eval_array(w[:m])
+    return w[np.argsort(order)]
 
 
 def homogeneous_horner(f, p, q):

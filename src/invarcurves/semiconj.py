@@ -30,9 +30,6 @@ class SemiconjTriple:
     def residual(self):
         return certify_triple(self)
 
-    def verify(self):
-        return self.residual() <= IDENTITY_RESIDUAL_TOL
-
 
 def certify_triple(triple):
     """Max unit-circle deviation between h o g and f^n o h.

@@ -47,7 +47,9 @@ def critical_points(f):
     infinity: the roots of the numerator of f', the rest at infinity."""
     if f.degree < 2:
         raise ValueError("critical points need degree >= 2")
-    w = f.derivative().num.trimmed(1e-13)
+    # the numerator p'q - pq' of f' = (p/q)'
+    p, q = f.num, f.den
+    w = (p.derivative() * q - p * q.derivative()).trimmed(1e-13)
     if w.is_zero:
         raise ValueError("degenerate map: identically critical")
     pts = [complex(r) for r in poly_roots(w)] if w.degree >= 1 else []
@@ -575,12 +577,6 @@ def scalar_wp(inv, z):
     return _scalar_wp_chain(inv, z)[0]
 
 
-def scalar_wp_prime(inv, z):
-    """Oracle for EllipticInvariants.wp_prime: (wp(z), wp'(z)), climbing the
-    derivative by wp'(2z) = f'(wp(z)) wp'(z) / 2."""
-    return _scalar_wp_chain(inv, z, derivative=True)[:2]
-
-
 @functools.lru_cache(maxsize=64)
 def _own_laurent(g2, g3):
     """The Laurent data of the lattice itself, not of its frame; far from
@@ -589,10 +585,10 @@ def _own_laurent(g2, g3):
         return laurent_coefficients(g2, g3)
 
 
-def _scalar_wp_chain(inv, z, nudge=None, derivative=False):
-    """(wp, wp', k) with k the number of halvings.  nudge = (s, eta)
-    multiplies the series argument (s = -1), the value after s doubling
-    steps (0 <= s <= k), or wp' after s - k - 1 of them, by 1 + eta."""
+def _scalar_wp_chain(inv, z, nudge=None):
+    """(wp, k) with k the number of halvings.  nudge = (s, eta) multiplies
+    the series argument (s = -1) or the value after s doubling steps
+    (0 <= s <= k) by 1 + eta."""
     inf = complex(math.inf, 0.0)
     lat = inv.lattice
     m = lat.basis_matrix()
@@ -604,7 +600,7 @@ def _scalar_wp_chain(inv, z, nudge=None, derivative=False):
     y -= math.floor(y + 0.5)
     z = x * lat.g1 + y * lat.g2
     if abs(z) <= 1e-14 * (4.0 * inv.base_radius):
-        return inf, inf, 0
+        return inf, 0
     k = 0
     while abs(z) > inv.base_radius:
         z *= 0.5
@@ -613,50 +609,37 @@ def _scalar_wp_chain(inv, z, nudge=None, derivative=False):
     if s_nudge == -1:
         z *= 1 + eta
     u = z * z
-    acc = dacc = 0j
+    acc = 0j
     c = _own_laurent(inv.g2, inv.g3)
     for j in range(len(c) - 1, 1, -1):
         acc = (acc + c[j]) * u
-        dacc = (dacc + (2 * j - 2) * c[j]) * u
     w = 1.0 / u + acc
-    d = -2.0 / (u * z) + dacc / z
     (a0, a1, a2, a3, a4), (b0, b1, b2, b3) = inv.duplication
     for s in range(k + 1):
         if s == s_nudge:
             w *= 1 + eta
-        if s_nudge is not None and s == s_nudge - k - 1:
-            d *= 1 + eta
         if s == k:
             break
-        # the duplication map and its derivative by Horner; infinite at
-        # its poles and past the overflow guard, and infinite from then on
+        # the duplication map by Horner; infinite at its poles and past the
+        # overflow guard, and infinite from then on
         if not (math.isfinite(w.real) and math.isfinite(w.imag)) or abs(w) > 1e100:
-            return inf, inf, k
+            return inf, k
         den = ((b3 * w + b2) * w + b1) * w + b0
         if den == 0:
-            return inf, inf, k
-        num = (((a4 * w + a3) * w + a2) * w + a1) * w + a0
-        if derivative:
-            dnum = ((4.0 * a4 * w + 3.0 * a3) * w + 2.0 * a2) * w + a1
-            dden = (3.0 * b3 * w + 2.0 * b2) * w + b1
-            fprime = (dnum * den - num * dden) / (den * den)
-            d = 0.5 * fprime * d
-        w = num / den
-    return w, d, k
+            return inf, k
+        w = ((((a4 * w + a3) * w + a2) * w + a1) * w + a0) / den
+    return w, k
 
 
 def wp_rounding_bound(inv, z, ulps=8, eta=1e-8):
-    """Bounds on how far two evaluations of wp(z) and of wp'(z) that round
-    apart by up to `ulps` at each step (series argument, series value,
-    every doubling step, and for wp' every derivative step) can land: each
-    step's share is amplified by the chain after it, measured by nudging
-    that step by a relative eta in the oracle."""
-    w, d, k = _scalar_wp_chain(inv, z, derivative=True)
+    """Bound on how far two evaluations of wp(z) that round apart by up to
+    `ulps` at each step (series argument, series value, every doubling
+    step) can land: each step's share is amplified by the chain after it,
+    measured by nudging that step by a relative eta in the oracle."""
+    w, k = _scalar_wp_chain(inv, z)
     eps = np.finfo(float).eps
-    nudged = [_scalar_wp_chain(inv, z, (s, eta), True) for s in range(-1, 2 * k + 2)]
-    bound_w = sum(max(abs(w), abs(wn - w) / eta) for wn, _, _ in nudged[:k + 2])
-    bound_d = sum(max(abs(d), abs(dn - d) / eta) for _, dn, _ in nudged)
-    return ulps * eps * bound_w, ulps * eps * bound_d
+    nudged = [_scalar_wp_chain(inv, z, (s, eta))[0] for s in range(-1, k + 1)]
+    return ulps * eps * sum(max(abs(w), abs(wn - w) / eta) for wn in nudged)
 
 
 def theta_wp(lattice, zs, dps=30):

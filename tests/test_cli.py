@@ -437,6 +437,18 @@ class TestArgumentValidation:
         assert "finite" in err or "positive" in err
         assert not out.exists()
 
+    # complex() reads nan, inf and 1e400 (as inf); the solver would refuse
+    # such a point only as one at infinity, which nan is not
+    @pytest.mark.parametrize("point", ["nan,0", "1,nan", "inf,0", "1e400,0", "nan+1j"])
+    def test_non_finite_fixed_point_is_usage_error(self, tmp_path, capsys, point):
+        out = tmp_path / "x"
+        assert run(["poincare", "--map", SQUARE_JSON, f"--fixed-point={point}",
+                    "--order", "20", "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert "--fixed-point must be a finite number" in err
+        assert "conjugate by 1/z" in err
+        assert not out.exists()
+
     # json reads a 401-digit integer as an int, which no coefficient or
     # generator can become
     @pytest.mark.parametrize("where", ["map", "lattice"])

@@ -268,10 +268,23 @@ class TestSegmentBoxes:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", ["walk", "line", "point"])
     def test_any_far_equals_the_vertex_scan(self, shape, seed):
-        # "line": a run along one axis, with p r +- 3 ulps behind its last
-        # vertex, where a box face alone decides; "point": a path parked at
-        # 0, r +- 3 ulps from p along a diagonal, where a corner does, then
-        # parked at p, where the middle vertex of each run lies
+        self.check_any_far(shape, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", ["walk", "line", "point"])
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_any_far_in_small_chunks(self, shape, seed, chunk, monkeypatch):
+        # the cases above with the vertices to measure split into chunks, so
+        # that _flat_runs splits its runs
+        monkeypatch.setattr(curves, "SWEEP_CHUNK", chunk)
+        self.check_any_far(shape, seed)
+
+    def check_any_far(self, shape, seed):
+        """any_far against a scan of every vertex of each run.  "line": a
+        run along one axis, with p r +- 3 ulps behind its last vertex, where
+        a box face alone decides; "point": a path parked at 0, r +- 3 ulps
+        from p along a diagonal, where a corner does, then parked at p,
+        where the middle vertex of each run lies."""
         rng = np.random.default_rng(seed)
         m, r = 300, 1e-3
         v = self.path(rng)

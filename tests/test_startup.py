@@ -156,8 +156,9 @@ def test_submodule_attribute_is_the_registered_module():
 
 
 def test_removed_names_raise_attribute_error():
-    # complex(inf, 0) replaced SpherePoint and INFINITY, inv.wp and
-    # inv.wp_prime the sphere wrappers; the rest were used only by tests
+    # complex(inf, 0) replaced SpherePoint and INFINITY, and inv.wp the
+    # sphere wrapper wp_eval; wp_prime_eval went with wp', which no job
+    # needs; the rest were used only by tests
     removed = ["SpherePoint", "INFINITY", "critical_points", "wp_eval", "wp_prime_eval",
                "lattes_from_lattice"]
     assert fresh(f"""
