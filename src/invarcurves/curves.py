@@ -16,7 +16,7 @@ from . import elliptic
 from .rational import _HUGE, UniformStream, chordal_array, embed_points
 
 CIRCLE_CLASS_TOL = 1e-8   # relative residual below which a trace is a circle/line
-SWEEP_CHUNK = 1 << 16     # box-table pairs split, or vertices measured, at a time
+SWEEP_CHUNK = 1 << 16     # (point or run, block) or block pairs split at a time
 
 
 class CurveTrace:
@@ -220,89 +220,82 @@ class SegmentBoxes:
                           np.concatenate([with_a, np.minimum(with_a, with_b), gap,
                                           np.minimum(gap, with_b)], axis=1)))
 
-    def near(self, p, pad):
-        """(point, segment) index arrays holding, for each column h of p
-        (3, n), every segment whose box comes within r[h] of p[:, h]; r[h]
-        is pad plus the least distance from p[:, h] to the middle vertex of
-        a block met, a bound never above that block's far corner.  Points
-        descend from the top block four blocks a step (two to level 0), at
-        most SWEEP_CHUNK pairs at a time: memory O(n + SWEEP_CHUNK log n).
+    def _descend(self, owners, keep):
+        """(owner, segment) index arrays of the segments left when each
+        owner descends from the top block: a block that keep(k, o, q, box)
+        keeps for owner o (block q of level k, box its table column) hands
+        o on to the four blocks two levels down (two to level 0).  At most
+        SWEEP_CHUNK pairs are handled at a time, depth first, so memory is
+        O(n + SWEEP_CHUNK log n).
         """
-        nearest = np.full(p.shape[1], np.inf)   # squared distance to a vertex
-        stack = [(len(self.count) - 1, np.arange(p.shape[1]), np.zeros(p.shape[1], int))]
+        stack = [(len(self.count) - 1, owners, np.zeros(len(owners), int))]
         while stack:
             k, o, q = stack.pop()
             if len(o) > SWEEP_CHUNK:
                 stack.append((k, o[SWEEP_CHUNK:], q[SWEEP_CHUNK:]))
                 o, q = o[:SWEEP_CHUNK], q[:SWEEP_CHUNK]
+            # a block past the end of its level is the empty box
+            box = self.box.take(np.where(q < self.count[k], self.first[k] + q, self.empty), axis=1)
+            kept = keep(k, o, q, box)
+            o, q, step = o[kept], q[kept], min(k, 2)
+            if k == 0:
+                yield o, q
+            elif len(o):
+                stack.append((k - step, np.repeat(o, 1 << step),
+                              ((q[:, None] << step) + np.arange(1 << step)).ravel()))
+
+    def near(self, p, pad):
+        """(point, segment) index arrays holding, for each column h of p
+        (3, n), every segment whose box comes within r[h] of p[:, h]; r[h]
+        is pad plus the least distance from p[:, h] to the middle vertex of
+        a block met, a bound never above that block's far corner.  Points
+        descend the table from its top block (_descend).
+        """
+        nearest = np.full(p.shape[1], np.inf)   # squared distance to a vertex
+
+        def keep(k, o, q, box):
             x = p.take(o, axis=1)
             v = self.vertices.take((2 * q + 1 << k) >> 1, axis=1, mode="clip") - x
             np.minimum.at(nearest, o, np.einsum("ij,ij->j", v, v))
-            # a child past the end of its level is the empty box
-            box = self.box.take(np.where(q < self.count[k], self.first[k] + q, self.empty), axis=1)
             gap = np.maximum(np.maximum(box[:3] - x, box[3:] + x), 0.0)   # lo - x, x - hi
             r = np.sqrt(nearest) + pad
-            keep = np.einsum("ij,ij->j", gap, gap) <= (r * r)[o]
-            o, q, step = o[keep], q[keep], min(k, 2)
-            if k == 0:
-                yield o, q
-            else:
-                stack.append((k - step, np.repeat(o, 1 << step),
-                              ((q[:, None] << step) + np.arange(1 << step)).ravel()))
+            return np.einsum("ij,ij->j", gap, gap) <= (r * r)[o]
+        return self._descend(np.arange(p.shape[1]), keep)
 
     def any_far(self, start, stop, p, r):
         """Mask: does a vertex of segments start[h] .. stop[h] - 1 lie at
         distance >= r from p[:, h], as _far_vertices rounds it?
 
         The middle vertex of each run is measured first: across a crossing
-        it usually lies far.  The rest of the range is covered by O(log n)
-        aligned blocks, and a block decides by its box where it can.
+        it usually lies far.  The other runs descend the table through the
+        blocks that meet them, and a block inside a run decides by its box.
         Rounding is monotone, so the farthest face of a tight box, measured
         as an offset with two zero components, is a distance that some
         vertex reaches, and the farthest corner is one that no vertex
-        exceeds.  Only the vertices of the blocks left undecided are
+        exceeds.  Only the two vertices of each segment left undecided are
         measured.
         """
         far = _far_vertices(np.take(self.vertices, (start + stop) // 2, axis=1), p, r)
-        h = np.flatnonzero(~far)
-        # the bottom-up cover of [start, stop): level k takes block
-        # ceil(start / 2^k) if odd, and block floor(stop / 2^k) - 1 if
-        # floor(stop / 2^k) is odd, while the two differ
-        shift = np.arange(len(self.count))
-        left = -(-start[h, None] >> shift)
-        right = stop[h, None] >> shift
-        on = left < right
-        take_left, take_right = on & (left % 2 == 1), on & (right % 2 == 1)
-        owner, level = (np.concatenate(x) for x in zip(np.nonzero(take_left),
-                                                       np.nonzero(take_right)))
-        owner = h[owner]
-        block = np.concatenate([left[take_left], right[take_right] - 1])
-        box = np.take(self.box, self.first[level] + block, axis=1)
-        q = np.take(p, owner, axis=1)
-        reach = np.maximum(-(box[3:] + q), q - box[:3])
-        face = np.maximum(np.maximum(reach[0], reach[1]), reach[2])
-        far[owner[np.sqrt(face * face) >= r]] = True
-        open_ = ~far[owner] & (_norm(reach) >= r)
-        owner, level, block = owner[open_], level[open_], block[open_]
-        first = block << level
-        size = np.minimum(first + (1 << level), self.vertices.shape[1] - 1) - first
-        for h, k in _flat_runs(first, size + 1):
-            far[owner[h[_far_vertices(self.vertices[:, k], p[:, owner[h]], r)]]] = True
+        n = self.vertices.shape[1] - 1
+
+        def keep(k, o, q, box):
+            lo, hi = q << k, np.minimum(q + 1 << k, n)
+            s, e = start.take(o), stop.take(o)
+            # a block past the last segment meets no run; its empty box reads as far
+            meets = (s < hi) & (lo < e) & ~far[o]
+            x = p.take(o, axis=1)
+            reach = np.maximum(-(box[3:] + x), x - box[:3])
+            face = np.maximum(np.maximum(reach[0], reach[1]), reach[2])
+            inside = meets & (s <= lo) & (hi <= e)
+            decided = np.sqrt(face * face) >= r
+            far[o[inside & decided]] = True
+            decided |= _norm(reach) < r
+            return meets & ~(inside & decided)
+        for o, q in self._descend(np.flatnonzero(~far), keep):
+            o = np.concatenate([o, o])
+            v = self.vertices.take(np.concatenate([q, q + 1]), axis=1)
+            far[o[_far_vertices(v, p.take(o, axis=1), r)]] = True
         return far
-
-
-def _flat_runs(starts, lengths):
-    """(owner, index) arrays listing starts[o] .. starts[o] + lengths[o] - 1
-    for consecutive owners o, about SWEEP_CHUNK entries at a time (a single
-    run may exceed it), so memory stays O(len(starts) + SWEEP_CHUNK)."""
-    total = np.concatenate([[0], np.cumsum(lengths)])
-    o0 = 0
-    while o0 < len(lengths):
-        o1 = max(int(np.searchsorted(total, total[o0] + SWEEP_CHUNK, side="right")) - 1,
-                 o0 + 1)
-        owner = np.repeat(np.arange(o0, o1), lengths[o0:o1])
-        yield owner, starts[owner] + np.arange(total[o0], total[o1]) - total[owner]
-        o0 = o1
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +325,12 @@ def trace_wp_line(invariants, offset, n=1024):
 # Invariance of a traced curve
 # ---------------------------------------------------------------------------
 
-def invariance_residual(f, trace, sample_indices=None):
-    """Max chordal distance from f(sample) to the traced polyline.
-
-    sample_indices restricts which samples are pushed through f (useful for
-    open arcs whose endpoint images leave the sampled window).
-    """
+def invariance_residual(f, trace):
+    """Max chordal distance from f(sample) to the traced polyline."""
     if len(trace) < 16:
         raise ValueError("trace too coarse for an invariance check")
-    idx = np.arange(len(trace)) if sample_indices is None \
-        else np.asarray(sample_indices)
-    images = f.eval_array(trace.values[idx])
-    emb = embed_points(images)
-    return float(np.max(points_to_polyline_distance(emb, trace)))
+    images = embed_points(f.eval_array(trace.values))
+    return float(np.max(points_to_polyline_distance(images, trace)))
 
 
 def parametric_wp_invariance_residual(invariants, f, offset, n=256):

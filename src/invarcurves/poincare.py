@@ -41,13 +41,9 @@ class PoincareSeries:
         self.radius_estimate = float(radius_estimate)
         self.eval_radius = float(eval_radius)
 
-    @property
-    def order(self):
-        return len(self.coefficients) - 1
-
     def __repr__(self):
         return (f"PoincareSeries(a={self.fixed_point:.6g}, "
-                f"lambda={self.multiplier:.6g}, order={self.order}, "
+                f"lambda={self.multiplier:.6g}, order={len(self.coefficients) - 1}, "
                 f"radius~{self.radius_estimate:.3g})")
 
 
@@ -221,10 +217,12 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
     of segments, from one table of segment and block bounding boxes
     (curves.SegmentBoxes): candidates come from block pairs whose boxes,
     padded by tol_cross, overlap and whose runs can hold an excursion, and
-    the excursion is decided from O(log n) boxes per pair.  On a curve that
-    is near-linear time.  It is not where many segments pass near one
-    another with excursions in between, as on a curve retraced many times:
-    there the candidates themselves are quadratic in number.
+    the excursion is decided by the run's middle vertex or by a descent of
+    the table through the blocks that meet the run, a block inside it
+    deciding by its box where it can.  On a curve that is near-linear time.
+    It is not where many segments pass near one another with excursions in
+    between, as on a curve retraced many times: there the candidates
+    themselves are quadratic in number.
 
     Only whether the list is empty is stable: where the curve retraces
     itself, which near-tied pairs survive the suppression depends on

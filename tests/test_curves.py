@@ -231,12 +231,21 @@ class TestPolylineDistance:
         assert np.array_equal(got, dense_polyline_distance(poles, trace))
 
 
+# (shape, seed, segments): paths of random length, then paths of 2^k - 1,
+# 2^k and 2^k + 1 segments, whose last block is short or padded at each level
+ANY_FAR_CASES = [pytest.param(shape, seed, None, id=f"{shape}-{seed}")
+                 for shape in ("walk", "line", "point") for seed in range(4)] + [
+    pytest.param(shape, n, n, id=f"{shape}-{n}-segments")
+    for shape in ("walk", "line", "point") for k in range(3, 7) for n in (2**k - 1, 2**k, 2**k + 1)]
+
+
 class TestSegmentBoxes:
     @staticmethod
-    def path(rng):
-        """A random walk on one of three scales, with runs parked at one point."""
-        v = np.cumsum(rng.choice([1e-5, 1e-3, 0.1]) * rng.normal(size=(int(rng.integers(2, 200)), 3)),
-                      axis=0)
+    def path(rng, segments=None):
+        """A random walk on one of three scales, with runs parked at one
+        point, of the given number of segments or a random one below 200."""
+        size = int(rng.integers(2, 200)) if segments is None else segments + 1
+        v = np.cumsum(rng.choice([1e-5, 1e-3, 0.1]) * rng.normal(size=(size, 3)), axis=0)
         for _ in range(int(rng.integers(3))):
             s = int(rng.integers(len(v)))
             v[s: s + int(rng.integers(1, 40))] = v[s]
@@ -265,32 +274,35 @@ class TestSegmentBoxes:
                         certain.add((i, j))
         assert certain <= got <= exact
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("shape", ["walk", "line", "point"])
-    def test_any_far_equals_the_vertex_scan(self, shape, seed):
-        self.check_any_far(shape, seed)
+    @pytest.mark.parametrize("shape, seed, segments", ANY_FAR_CASES)
+    def test_any_far_equals_the_vertex_scan(self, shape, seed, segments):
+        self.check_any_far(shape, seed, segments)
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("shape", ["walk", "line", "point"])
+    @pytest.mark.parametrize("shape, seed, segments", ANY_FAR_CASES)
     @pytest.mark.parametrize("chunk", [1, 7])
-    def test_any_far_in_small_chunks(self, shape, seed, chunk, monkeypatch):
-        # the cases above with the vertices to measure split into chunks, so
-        # that _flat_runs splits its runs
+    def test_any_far_in_small_chunks(self, shape, seed, segments, chunk, monkeypatch):
+        # the cases above with the (run, block) pairs split into chunks, so
+        # that a descent resumes from its stack at every level
         monkeypatch.setattr(curves, "SWEEP_CHUNK", chunk)
-        self.check_any_far(shape, seed)
+        self.check_any_far(shape, seed, segments)
 
-    def check_any_far(self, shape, seed):
+    def check_any_far(self, shape, seed, segments=None):
         """any_far against a scan of every vertex of each run.  "line": a
         run along one axis, with p r +- 3 ulps behind its last vertex, where
         a box face alone decides; "point": a path parked at 0, r +- 3 ulps
         from p along a diagonal, where a corner does, then parked at p,
-        where the middle vertex of each run lies."""
+        where the middle vertex of each run lies.  Given a number of
+        segments, a third of the runs are the last segment alone and a third
+        the whole path, so that they meet the short or padded block at the
+        end of each level."""
         rng = np.random.default_rng(seed)
         m, r = 300, 1e-3
-        v = self.path(rng)
+        v = self.path(rng, segments)
         n = len(v) - 1
         start = rng.integers(n, size=m)
         stop = np.minimum(start + rng.integers(1, n + 1, size=m), n)
+        kind = rng.integers(3, size=m) if segments else np.zeros(m, int)
+        start[kind == 1], start[kind == 2], stop[kind > 0] = n - 1, 0, n
         if shape == "walk":
             p = v[start + (rng.uniform(size=m) * (stop - start + 1)).astype(int)]
             p = p + rng.normal(scale=r, size=(m, 3))
@@ -306,9 +318,11 @@ class TestSegmentBoxes:
                 direction = np.ones(3) * rng.choice([-1.0, 1.0], size=3)
                 direction[axis] = 0.0
                 direction /= np.linalg.norm(direction)
-                v = np.zeros((2 * n + 2, 3))
-                v[n + 1:] = -r * direction
-                start, stop = rng.integers(n + 1, size=m), np.full(m, 2 * n + 1)
+                n = 2 * n + 1 if segments is None else n
+                v = np.zeros((n + 1, 3))
+                v[(n + 1) // 2:] = -r * direction
+                start, stop = rng.integers((n + 1) // 2, size=m), np.full(m, n)
+                start[kind == 1], start[kind == 2] = n - 1, 0
                 p = -reach[:, None] * direction
         got = curves.SegmentBoxes(v[:-1], v[1:]).any_far(start, stop, p.T.copy(), r)
         want = [np.any(np.linalg.norm(v[s: e + 1] - q, axis=1) >= r)

@@ -6,7 +6,7 @@ import pytest
 
 from invarcurves import curves
 from invarcurves.rational import (DEGREE_CAP, DegreeCapExceeded, Polynomial, RationalMap,
-                                  coefficient_residual, compose, maps_equal)
+                                  coefficient_residual, compose, embed_points, maps_equal)
 from invarcurves.semiconj import (SemiconjTriple, certify_triple, chebyshev,
                                   chebyshev_map, joukowski, make_power_family,
                                   make_ritt_triple, pakovich_example, power_map,
@@ -192,9 +192,10 @@ class TestHyperbolaExample:
     def test_trace_invariant_under_map(self):
         ex = pakovich_example(3, n_samples=24001)
         n = len(ex.trace)
+        # the middle third: the images of the arc's ends leave the sampled window
         idx = np.arange(n // 3, 2 * n // 3, 3)
-        res = curves.invariance_residual(ex.map, ex.trace, sample_indices=idx)
-        assert res <= 1e-7
+        images = embed_points(ex.map.eval_array(ex.trace.values[idx]))
+        assert np.max(curves.points_to_polyline_distance(images, ex.trace)) <= 1e-7
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
     @pytest.mark.parametrize("principal", [True, False])
