@@ -159,17 +159,14 @@ def _write(outdir, name, content):
         raise UsageError(f"cannot write {name} under --out: {exc}")
 
 
-class _StageRunner:
-    """Runs named pipeline stages so a failure aborts with the stage name."""
-
-    def __init__(self, label):
-        self.label = label
-
-    def __call__(self, name, fn, *args, **kwargs):
+def _stages(label):
+    """A runner of named pipeline stages: a failure aborts with the stage name."""
+    def run(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"{self.label}, stage '{name}': {exc}") from exc
+            raise ValueError(f"{label}, stage '{name}': {exc}") from exc
+    return run
 
 
 def _write_trace(args, trace, fit=None, fixed_map=None):
@@ -182,57 +179,56 @@ def _write_trace(args, trace, fit=None, fixed_map=None):
         _write(args.out, "trace.svg", curves.trace_svg(trace, fit, fps))
 
 
-def _common_flags(sub):
-    sub.add_argument("--out", type=Path, default="out", help="output directory")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sub.add_argument("--samples", type=_positive(int, "sample count"), default=1024,
-                     help="sample count")
-    sub.add_argument("--order", type=_positive(int, "series order"), default=60,
-                     help="series truncation order")
-    sub.add_argument("--tol", type=_positive(float, "tolerance"), default=None,
-                     help="override certification tolerance")
-    sub.add_argument("--format", type=_formats, default="json,csv,svg",
-                     help="comma list of output formats")
-
-
 def build_parser():
     parser = _Parser(prog="invarcurves",
                      description="invariant-curve laboratory for rational maps")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("poincare", help="solve a linearizer and trace F(R)")
-    p.add_argument("--map", required=True, help="rational map (JSON or @file)")
-    p.add_argument("--fixed-point", required=True,
-                   help="repelling fixed point, as re,im")
-    p.add_argument("--trace-range", type=float, default=10.0,
-                   help="trace F on [-T, T]")
-    _common_flags(p)
+    pc = subs.add_parser("poincare", help="solve a linearizer and trace F(R)")
+    pc.add_argument("--map", required=True, help="rational map (JSON or @file)")
+    pc.add_argument("--fixed-point", required=True, help="repelling fixed point, as re,im")
+    pc.add_argument("--trace-range", type=float, default=10.0, help="trace F on [-T, T]")
+    pc.add_argument("--order", type=_positive(int, "series order"), default=60,
+                    help="series truncation order")
 
-    p = subs.add_parser("lattes", help="duplication map from a lattice")
-    p.add_argument("--lattice", required=True, help="lattice JSON or @file")
-    _common_flags(p)
+    la = subs.add_parser("lattes", help="duplication map from a lattice")
+    la.add_argument("--lattice", required=True, help="lattice JSON or @file")
 
-    p = subs.add_parser("semiconj", help="build or verify a semiconjugacy triple")
-    p.add_argument("--u", help="left factor (JSON or @file)")
-    p.add_argument("--v", help="right factor (JSON or @file)")
-    p.add_argument("--w", help="power-family rational function")
-    p.add_argument("--m", type=int, default=1, help="power-family exponent m")
-    p.add_argument("--n", type=int, default=2, help="power-family exponent n")
-    p.add_argument("--verify", nargs=4, metavar=("F", "G", "H", "N"),
-                   help="verify an explicit triple")
-    _common_flags(p)
+    sc = subs.add_parser("semiconj", help="build or verify a semiconjugacy triple")
+    sc.add_argument("--u", help="left factor (JSON or @file)")
+    sc.add_argument("--v", help="right factor (JSON or @file)")
+    sc.add_argument("--w", help="power-family rational function")
+    sc.add_argument("--m", type=int, default=1, help="power-family exponent m")
+    sc.add_argument("--n", type=int, default=2, help="power-family exponent n")
+    sc.add_argument("--verify", nargs=4, metavar=("F", "G", "H", "N"),
+                    help="verify an explicit triple")
 
-    p = subs.add_parser("example", help="run a scripted reproduction pipeline")
-    p.add_argument("which", type=int, choices=(1, 2, 3))
-    p.add_argument("--p", type=_finite(float), default=math.sqrt(2.0),
-                   help="real irrational part of the skew period (example 2)")
-    p.add_argument("--omega1", type=_finite(_positive(float, "half-period")), default=1.0)
-    p.add_argument("--omega2", type=_finite(_positive(float, "half-period")), default=1.0)
-    p.add_argument("--offset-thirds", type=int, default=1,
-                   help="offset = (second generator) * thirds / 3")
-    p.add_argument("--hyperbola-n", type=int, default=3)
-    p.add_argument("--dmax", type=_positive(int, "scan degree"), default=None)
-    _common_flags(p)
+    examples = subs.add_parser("example", help="run a scripted reproduction pipeline") \
+        .add_subparsers(dest="which", required=True)
+    e1, e2, e3 = (examples.add_parser(which) for which in "123")
+    e1.add_argument("--omega1", type=_finite(_positive(float, "half-period")), default=1.0)
+    e1.add_argument("--omega2", type=_finite(_positive(float, "half-period")), default=1.0)
+    e2.add_argument("--p", type=_finite(float), default=math.sqrt(2.0),
+                    help="real irrational part of the skew period")
+    for e, d_max in ((e1, 8), (e2, 6)):
+        e.add_argument("--offset-thirds", type=int, default=1,
+                       help="offset = (second generator) * thirds / 3")
+        e.add_argument("--dmax", type=_positive(int, "scan degree"), default=d_max)
+    e3.add_argument("--hyperbola-n", type=int, default=3)
+
+    # the shared flags, each on the jobs whose handler reads it
+    for sub in (pc, la, sc, e1, e2, e3):
+        sub.add_argument("--out", type=Path, default="out", help="output directory")
+    for sub in (pc, la, e1, e2, e3):
+        sub.add_argument("--seed", type=int, default=0, help="RNG seed")
+        sub.add_argument("--samples", type=_positive(int, "sample count"), default=1024,
+                         help="sample count")
+    for sub in (la, sc):
+        sub.add_argument("--tol", type=_positive(float, "tolerance"), default=None,
+                         help="override certification tolerance")
+    for sub in (pc, e1, e2, e3):
+        sub.add_argument("--format", type=_formats, default="json,csv,svg",
+                         help="comma list of output formats")
     return parser
 
 
@@ -243,6 +239,7 @@ def build_parser():
 def cmd_poincare(args):
     f = _map_arg(args.map)
     a = _complex_arg(args.fixed_point)
+    rng = UniformStream(args.seed)      # a negative seed fails before any file is written
     F = poincare.solve_coefficients(f, a, order=args.order)
     _write(args.out, "coefficients.json", _dump_json({
         "fixed_point": F.fixed_point, "multiplier": F.multiplier,
@@ -262,7 +259,6 @@ def cmd_poincare(args):
     else:
         report["trace"] = None
         report["note"] = "multiplier not real: F(R) is not traced"
-    rng = UniformStream(args.seed)
     zs = F.eval_radius * 8 * rng.uniform(0.05, 1.0, 100) \
         * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 100))
     report["functional_equation_residual"] = \
@@ -327,10 +323,10 @@ def cmd_semiconj(args):
     return EXIT_OK
 
 
-def _wp_line(args, run, lat, offset, d_max):
+def _wp_line(args, run, lat, offset):
     """Examples 1 and 2 on the wp-image of the line through offset, up to the
-    degree scan (to --dmax, else d_max): the invariants, the Lattes system,
-    the trace and the report keys the two examples have in common."""
+    degree scan (to --dmax): the invariants, the Lattes system, the trace and
+    the report keys the two examples have in common."""
     inv = run("invariants", elliptic.invariants_from_lattice, lat)
     system = run("duplication map", lattes.lattes_from_invariants, inv)
     trace = run("trace", curves.trace_wp_line, inv, offset, n=args.samples)
@@ -338,7 +334,7 @@ def _wp_line(args, run, lat, offset, d_max):
     par_res = run("parametric invariance",
                   curves.parametric_wp_invariance_residual, inv, system.map, offset)
     cf = run("circle fit", curves.circle_fit, trace)
-    scan = run("degree scan", curves.transcendence_scan, trace, args.dmax or d_max)
+    scan = run("degree scan", curves.transcendence_scan, trace, args.dmax)
     return inv, system, trace, {
         "lattice": lat,
         "invariance_residual": inv_res,
@@ -353,10 +349,10 @@ def _wp_line(args, run, lat, offset, d_max):
 
 
 def _example_1(args):
-    run = _StageRunner("example 1")
+    run = _stages("example 1")
     lat = run("lattice", elliptic.Lattice, 2.0 * args.omega1, 2j * args.omega2)
     offset = lat.g2 * args.offset_thirds / 3.0
-    inv, system, trace, report = _wp_line(args, run, lat, offset, 8)
+    inv, system, trace, report = _wp_line(args, run, lat, offset)
     dup_res = run("duplication residual", lattes.verify_lattes, system, seed=args.seed)
     xy = run("reflection check", curves.example1_xy_check, inv, offset, seed=args.seed)
     _write_trace(args, trace, report["circle_fit"], system.map)
@@ -368,10 +364,10 @@ def _example_1(args):
 
 
 def _example_2(args):
-    run = _StageRunner("example 2")
+    run = _stages("example 2")
     tau = complex(args.p, 1.0)
     lat = run("lattice", elliptic.Lattice, 1.0, tau)
-    _, _, trace, report = _wp_line(args, run, lat, tau * args.offset_thirds / 3.0, 6)
+    _, _, trace, report = _wp_line(args, run, lat, tau * args.offset_thirds / 3.0)
     # paired control: the algebraic curve of the rectangular-lattice example
     control_lat = elliptic.Lattice(2.0, 2j)
     control_inv = elliptic.invariants_from_lattice(control_lat)
@@ -390,7 +386,7 @@ def _example_2(args):
 
 
 def _example_3(args):
-    run = _StageRunner("example 3")
+    run = _stages("example 3")
     n = args.hyperbola_n
     example = run("hyperbola system", semiconj.pakovich_example, n, args.samples)
     jk = [semiconj.verify_joukowski_identity(k) for k in range(1, 9)]
@@ -415,10 +411,10 @@ def _example_3(args):
 
 
 def cmd_example(args):
-    builders = {1: _example_1, 2: _example_2, 3: _example_3}
-    report = builders[args.which](args)
-    report.update(example=args.which, seed=args.seed)
-    _write(args.out, f"example{args.which}_report.json", _dump_json(report))
+    which = int(args.which)
+    report = {1: _example_1, 2: _example_2, 3: _example_3}[which](args)
+    report.update(example=which, seed=args.seed)
+    _write(args.out, f"example{which}_report.json", _dump_json(report))
     return EXIT_OK
 
 

@@ -398,8 +398,11 @@ class RationalMap:
                 num, _ = poly_divmod(num, g)
                 den, _ = poly_divmod(den, g)
         lead = den.coefficients[-1]
-        self.num = Polynomial(num.coefficients / lead)
-        self.den = Polynomial(den.coefficients / lead)
+        with np.errstate(over="ignore", invalid="ignore"):    # checked just below
+            self.num = Polynomial(num.coefficients / lead)
+            self.den = Polynomial(den.coefficients / lead)
+        if not all(np.isfinite(p.coefficients).all() for p in (self.num, self.den)):
+            raise ValueError("rational map coefficients beyond the float range")
 
     @classmethod
     def identity(cls):
@@ -563,7 +566,8 @@ def compose(f, g):
         raise DegreeCapExceeded(
             f"composition degree {f.degree * g.degree} exceeds cap {DEGREE_CAP}")
     # composition of coprime maps is coprime; skip the gcd pass
-    return RationalMap(*homogeneous_horner(f, g.num, g.den), reduce=False)
+    with np.errstate(over="ignore", invalid="ignore"):    # RationalMap checks the result
+        return RationalMap(*homogeneous_horner(f, g.num, g.den), reduce=False)
 
 
 def iterate(f, n):
@@ -592,7 +596,8 @@ def chain_identity_residual(left_chain, right_chain):
     deg = max(int(np.prod([f.degree for f in chain]) or 1) for chain in chains)
     m = 2 * deg + 5
     z = np.exp(2j * np.pi * (np.arange(m) / m + 0.2371)).astype(np.clongdouble)
-    (p1, q1), (p2, q2) = [_chain_values(chain, z) for chain in chains]
+    with np.errstate(over="ignore", invalid="ignore"):    # checked just below
+        (p1, q1), (p2, q2) = [_chain_values(chain, z) for chain in chains]
     n1 = np.sqrt(np.abs(p1) ** 2 + np.abs(q1) ** 2)
     n2 = np.sqrt(np.abs(p2) ** 2 + np.abs(q2) ** 2)
     if not np.all((n1 > 0) & (n2 > 0) & np.isfinite(n1) & np.isfinite(n2)):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,10 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from invarcurves import cli, poincare
 from invarcurves.rational import RationalMap
+from test_golden import JOBS as GOLDEN_JOBS
 
 SQUARE_JSON = json.dumps({"num": [[0, 0], [0, 0], [1, 0]], "den": [[1, 0]]})
 SHIFT_JSON = json.dumps({"num": [[1, 0], [1, 0]], "den": [[1, 0]]})
 LATTICE_JSON = json.dumps({"g1": [2.0, 0.0], "g2": [0.0, 2.0]})
+BIG_JSON = json.dumps({"num": [[1e308, 0], [1e308, 0], [1e308, 0]], "den": [[1, 0]]})
 
 
 def run(argv):
@@ -119,6 +122,15 @@ class TestPoincareCommand:
             with pytest.raises(ValueError, match="not real"):
                 poincare.trace_real_axis(F, 10.0, 64)
 
+    def test_negative_seed_is_exit_2_before_any_file(self, tmp_path, capsys):
+        # the seed is checked with the other arguments, not after the
+        # coefficients and the trace are written
+        out = tmp_path / "x"
+        assert run(["poincare", "--map", SQUARE_JSON, "--fixed-point", "1,0", "--order", "20",
+                    "--samples", "64", "--seed=-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "precondition failed: expected non-negative integer\n"
+        assert not out.exists()
+
 
 class TestLattesCommand:
     def test_square_lattice_certifies(self, tmp_path):
@@ -217,6 +229,22 @@ class TestSemiconjCommand:
         assert code == 2
         assert time.perf_counter() - start < 5.0
         assert "cap" in capsys.readouterr().err
+
+    # compositions of a map with coefficients near the float limit leave the
+    # floats; a constant u once certified the triple with g = v o u = inf + nan i
+    @pytest.mark.parametrize("argv", [
+        ["--w", BIG_JSON], ["--u", SQUARE_JSON, "--v", BIG_JSON],
+        ["--u", json.dumps({"num": [[1, 0]], "den": [[1, 0]]}), "--v", BIG_JSON],
+        ["--verify", BIG_JSON, BIG_JSON, BIG_JSON, "5"],
+    ], ids=["power-family", "ritt", "constant-u", "verify"])
+    def test_coefficients_beyond_the_float_range_are_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["semiconj", *argv, "--out", str(out)]) == 2
+        assert not caught, [str(w.message) for w in caught]
+        assert "precondition failed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExampleCommand:
@@ -342,8 +370,8 @@ class TestExampleCommand:
 
     def test_json_report_is_written_for_every_format(self, tmp_path):
         out = tmp_path / "x"
-        assert run(["lattes", "--lattice", LATTICE_JSON, "--format", "svg",
-                    "--out", str(out)]) == 0
+        assert run(["poincare", "--map", SQUARE_JSON, "--fixed-point", "1,0", "--order", "20",
+                    "--samples", "64", "--format", "svg", "--out", str(out)]) == 0
         assert (out / "report.json").exists()
 
     def test_determinism_bytes(self, tmp_path):
@@ -398,18 +426,20 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("where", ["map-num", "map-den", "u", "lattice"])
     def test_non_finite_json_number_is_usage_error(self, tmp_path, capsys, where, number):
         bad = f'{{"num": [[{number}, 0], [0, 0], [1, 0]], "den": [[1, 0]]}}'
+        sizes = ["--samples", "64", "--order", "20"]
         argv = {
-            "map-num": ["poincare", "--map", bad, "--fixed-point", "1,0"],
+            "map-num": ["poincare", "--map", bad, "--fixed-point", "1,0", *sizes],
             "map-den": ["poincare", "--map",
                         f'{{"num": [[0, 0], [0, 0], [1, 0]], "den": [[{number}, 0]]}}',
-                        "--fixed-point", "1,0"],
+                        "--fixed-point", "1,0", *sizes],
             "u": ["semiconj", "--u", bad, "--v", SQUARE_JSON],
-            "lattice": ["lattes", "--lattice", f'{{"g1": [{number}, 0], "g2": [0, 1]}}'],
+            "lattice": ["lattes", "--lattice", f'{{"g1": [{number}, 0], "g2": [0, 1]}}',
+                        "--samples", "64"],
         }[where]
         out = tmp_path / "x"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run(argv + ["--samples", "64", "--order", "20", "--out", str(out)]) == 64
+            assert run(argv + ["--out", str(out)]) == 64
         assert not caught, [str(w.message) for w in caught]
         assert f"not a finite number: {number}" in capsys.readouterr().err
         assert not out.exists()
@@ -455,10 +485,11 @@ class TestArgumentValidation:
     def test_integer_beyond_the_float_range_is_usage_error(self, tmp_path, capsys, where):
         big = "1" + "0" * 400
         argv = {"map": ["poincare", "--map", f'{{"num": [[0, 0], [0, 0], [{big}, 0]]}}',
-                        "--fixed-point", "1,0"],
-                "lattice": ["lattes", "--lattice", f'{{"g1": [{big}, 0], "g2": [0, 1]}}']}[where]
+                        "--fixed-point", "1,0", "--samples", "64", "--order", "20"],
+                "lattice": ["lattes", "--lattice", f'{{"g1": [{big}, 0], "g2": [0, 1]}}',
+                            "--samples", "64"]}[where]
         out = tmp_path / "x"
-        assert run(argv + ["--samples", "64", "--order", "20", "--out", str(out)]) == 64
+        assert run(argv + ["--out", str(out)]) == 64
         assert "integer beyond the float range" in capsys.readouterr().err
         assert not out.exists()
 
@@ -467,6 +498,83 @@ class TestArgumentValidation:
         assert run(["semiconj", "--u", SQUARE_JSON, "--v", SQUARE_JSON,
                     "--tol", "inf", "--out", str(out)]) == 0
         assert read_json(out / "report.json")["certified"]
+
+
+class ReadRecorder:
+    """A parsed namespace that notes, in read, each attribute read from it."""
+
+    def __init__(self, namespace, read):
+        self._namespace, self._read = namespace, read
+
+    def __getattr__(self, name):
+        self._read.add(name)
+        return getattr(self._namespace, name)
+
+
+def declared_dests(path):
+    """The dests declared by the parser of a job, e.g. ("example", "1"),
+    and by the parsers above it."""
+    parser, dests = cli.build_parser(), set()
+    for name in (*path, None):
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        dests |= {a.dest for a in actions}
+        if name is not None:
+            subs = next(a for a in actions if isinstance(a, argparse._SubParsersAction))
+            parser = subs.choices[name]
+    return dests
+
+
+# flags that no job of a subcommand (or example N) reads, each with a value
+# that the flag takes where it is declared
+UNREAD = {
+    ("poincare",): ["--tol=1"],
+    ("lattes",): ["--order=20", "--format=json"],
+    ("semiconj",): ["--seed=0", "--samples=64", "--order=20", "--format=json"],
+    ("example", "1"): ["--order=20", "--tol=1", "--p=1", "--hyperbola-n=3"],
+    ("example", "2"): ["--order=20", "--tol=1", "--omega1=1", "--omega2=1", "--hyperbola-n=3"],
+    ("example", "3"): ["--order=20", "--tol=1", "--p=1", "--omega1=1", "--omega2=1",
+                       "--offset-thirds=1", "--dmax=2"],
+}
+
+
+class TestEachJobDeclaresWhatItReads:
+    def test_declared_flags_are_the_flags_read(self, tmp_path, monkeypatch):
+        # the golden jobs, a multiplier that is not real (no trace) and the
+        # power family (no --u/--v) cover every path that reads a flag
+        jobs = [*GOLDEN_JOBS.values(),
+                ["poincare", "--map", json.dumps({"num": [[0, 0], [1, 1], [1, 0]],
+                                                  "den": [[1, 0]]}),
+                 "--fixed-point", "0,0", "--order", "20"],
+                ["semiconj", "--w", SHIFT_JSON, "--m", "1", "--n", "2"]]
+        read = {}
+        parse_args = cli._Parser.parse_args
+
+        def recording(parser, argv):
+            args = parse_args(parser, argv)
+            path = (args.command, *([args.which] if args.command == "example" else []))
+            return ReadRecorder(args, read.setdefault(path, set()))
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recording)
+        for k, argv in enumerate(jobs):
+            assert run(argv + ["--out", str(tmp_path / str(k))]) == 0, argv
+        assert sorted(read) == sorted(UNREAD)
+        for path, names in read.items():
+            assert names == declared_dests(path), path
+
+    @pytest.mark.parametrize("path, flag", [(path, flag) for path, flags in UNREAD.items()
+                                            for flag in flags])
+    def test_a_flag_the_job_does_not_read_is_usage_error(self, tmp_path, capsys, path, flag):
+        out = tmp_path / "x"
+        assert run(GOLDEN_JOBS["".join(path)] + [flag, "--out", str(out)]) == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    # the example number comes first, and is one of the three names
+    @pytest.mark.parametrize("argv", [["example", "--samples", "64", "1"], ["example", "01"]])
+    def test_example_number_is_the_first_argument(self, tmp_path, argv):
+        out = tmp_path / "x"
+        assert run(argv + ["--out", str(out)]) == 64
+        assert not out.exists()
 
 
 class TestRuntimeDependencies:
@@ -533,13 +641,14 @@ FORMATS = mostly(st.sampled_from(["json", "csv", "svg", "json,csv,svg", "csv,svg
                  st.sampled_from(["", ",", "xml", "JSON", "json,,csv"]))
 MAPS = mostly(st.sampled_from([
     SQUARE_JSON, SHIFT_JSON,
-    json.dumps({"num": [[-2, 0], [0, 0], [1, 0]]}),
+    json.dumps({"num": [[-2, 0], [0, 0], [1, 0]], "den": [[1, 0]]}),
     json.dumps({"num": [[1, 0], [0, 0], [1, 0]], "den": [[0, 0], [2, 0]]}),
     json.dumps({"num": [[0, 0], [0.3, 0.4], [1, 0]], "den": [[1, 0], [0.5, 0]]}),
-    json.dumps({"num": [[1, 0]]}), json.dumps({"num": [[0, 0]]}),
-    json.dumps({"num": [[0, 0], [1, 0]]}),
-    json.dumps({"num": [[1e308, 0], [1e308, 0], [1e308, 0]]}),
-    json.dumps({"num": [[1e-308, 0], [0, 0], [1e-308, 0]]})]),
+    json.dumps({"num": [[1, 0]], "den": [[1, 0]]}),
+    json.dumps({"num": [[0, 0]], "den": [[1, 0]]}),
+    json.dumps({"num": [[0, 0], [1, 0]], "den": [[1, 0]]}),
+    json.dumps({"num": [[1e308, 0], [1e308, 0], [1e308, 0]], "den": [[1, 0]]}),
+    json.dumps({"num": [[1e-308, 0], [0, 0], [1e-308, 0]], "den": [[1, 0]]})]),
     st.sampled_from([
         json.dumps({"num": [[1, 0]], "den": [[0, 0]]}),
         '{"num": [[NaN, 0], [1, 0]]}', '{"num": [[Infinity, 0], [0, 0], [1, 0]]}',
@@ -559,39 +668,43 @@ POINTS = mostly(st.sampled_from(["1,0", "2,0", "0,0", "-1,0", "0.5,0.5", "1", "1
 # maps with a repelling fixed point, so that half the poincare draws solve
 # and trace instead of stopping at the first check
 LINEARIZABLE = st.sampled_from([
-    (SQUARE_JSON, "1,0"), (json.dumps({"num": [[-2, 0], [0, 0], [1, 0]]}), "2,0"),
-    (json.dumps({"num": [[-2, 0], [0, 0], [1, 0]]}), "-1,0"),
-    (json.dumps({"num": [[0, 0], [0, 0], [0, 0], [1, 0]]}), "-1,0"),
+    (SQUARE_JSON, "1,0"), (json.dumps({"num": [[-2, 0], [0, 0], [1, 0]], "den": [[1, 0]]}), "2,0"),
+    (json.dumps({"num": [[-2, 0], [0, 0], [1, 0]], "den": [[1, 0]]}), "-1,0"),
+    (json.dumps({"num": [[0, 0], [0, 0], [0, 0], [1, 0]], "den": [[1, 0]]}), "-1,0"),
     (json.dumps({"num": [[-1, 0], [0, 0], [1, 0]], "den": [[1, 0]]}), "1.618033988749895,0")])
 
 
 @st.composite
 def cli_argv(draw):
-    """An argv for one of the subcommands.  Each flag is "--flag=value", so
-    that a value starting with "-" stays a value; optional flags appear or
-    not."""
+    """An argv for one of the subcommands (of example N), drawing only the
+    flags that subcommand reads.  Each flag is "--flag=value", so that a
+    value starting with "-" stays a value; optional flags appear or not."""
     def flags(required=False, **choices):
         return [f"--{name.replace('_', '-')}={draw(values)}"
                 for name, values in choices.items() if required or draw(st.booleans())]
 
+    # sizes are always given, so that no draw runs at the default 1024 / 60
     kind = draw(st.sampled_from(["poincare", "lattes", "semiconj", "example"]))
     if kind == "poincare":
         f, a = draw(st.one_of(LINEARIZABLE, st.tuples(MAPS, POINTS)))
-        argv = ["poincare", f"--map={f}", f"--fixed-point={a}"]
-        argv += flags(trace_range=NUMBERS)
-    elif kind == "lattes":
-        argv = ["lattes"] + flags(True, lattice=LATTICES)
-    elif kind == "semiconj":
-        argv = ["semiconj"] + flags(u=MAPS, v=MAPS, w=MAPS, m=SMALL_INTS, n=SMALL_INTS)
+        return (["poincare", f"--map={f}", f"--fixed-point={a}"]
+                + flags(True, samples=SIZES, order=ORDERS)
+                + flags(trace_range=NUMBERS, seed=SEEDS, format=FORMATS))
+    if kind == "lattes":
+        return (["lattes"] + flags(True, lattice=LATTICES, samples=SIZES)
+                + flags(seed=SEEDS, tol=NUMBERS))
+    if kind == "semiconj":
+        argv = ["semiconj"] + flags(u=MAPS, v=MAPS, w=MAPS, m=SMALL_INTS, n=SMALL_INTS,
+                                    tol=NUMBERS)
         if draw(st.booleans()):
             argv += ["--verify", draw(MAPS), draw(MAPS), draw(MAPS), draw(SMALL_INTS)]
-    else:
-        argv = ["example", draw(st.sampled_from(["1", "2", "3", "0", "x"]))]
-        argv += flags(p=NUMBERS, omega1=NUMBERS, omega2=NUMBERS,
-                      offset_thirds=SMALL_INTS, hyperbola_n=SMALL_INTS, dmax=SMALL_INTS)
-    # sizes are always given, so that no draw runs at the default 1024 / 60
-    return (argv + flags(True, samples=SIZES, order=ORDERS)
-            + flags(seed=SEEDS, tol=NUMBERS, format=FORMATS))
+        return argv
+    which = draw(mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "x", "01"])))
+    own = {"1": dict(omega1=NUMBERS, omega2=NUMBERS, offset_thirds=SMALL_INTS, dmax=SMALL_INTS),
+           "2": dict(p=NUMBERS, offset_thirds=SMALL_INTS, dmax=SMALL_INTS),
+           "3": dict(hyperbola_n=SMALL_INTS)}.get(which, {})
+    return (["example", which] + flags(**own) + flags(True, samples=SIZES)
+            + flags(seed=SEEDS, format=FORMATS))
 
 
 class TestFuzz:

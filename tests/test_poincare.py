@@ -489,6 +489,24 @@ class TestScanMatchesQuadraticOracle:
             scanned.append(0)
             assert poincare.injectivity_check(trace) == []
             assert scanned[-1] <= n * math.log2(n)
+        # there the runs fit in boxes below EXCURSION, so no pair reaches
+        # any_far.  k petals, circles of radius 1/4 through 0, pass through 0
+        # k + 1 times, 64 samples apart (and cross each other once more): the
+        # run between passes p and q, p + q even, has its middle vertex at
+        # the meeting point 0, so the table descent decides it by its petals.
+        # Scanning those runs would measure ~k^2 n / 4 vertices (65,859 at
+        # k = 16, against 929 near pairs)
+        t = 2 * np.pi * np.arange(64) / 64
+        for k in (16, 32, 64):
+            z = np.concatenate([0.25 * np.exp(2j * np.pi * j / k) * (1 - np.exp(1j * t))
+                                for j in range(k)] + [[0]])
+            trace = CurveTrace(np.arange(len(z), dtype=float), z)
+            n = len(trace)
+            scanned.append(0)
+            got = poincare.injectivity_check(trace)
+            assert 0 < scanned[-1] <= n * math.log2(n)
+            if k == 16:
+                assert got and got == quadratic_injectivity_check(trace)
 
 
 class TestMultiplierRealness:

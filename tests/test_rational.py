@@ -270,6 +270,16 @@ class TestCompose:
         assert p.shape == zs.shape and np.allclose(p / q, 2)
         assert identity_residual(RationalMap([2]), RationalMap([2])) == 0.0
 
+    def test_coefficients_beyond_the_floats_are_refused(self):
+        # the leading coefficient of f(f) is 1e308^3; refused without a warning
+        f = RationalMap([1e308, 1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beyond the float range"):
+                compose(f, f)
+            with pytest.raises(ValueError, match="beyond the float range"):
+                RationalMap([1e308], [1e-308])
+
 
 class TestPower:
     def test_power_is_repeated_product(self, rng):
