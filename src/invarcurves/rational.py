@@ -33,7 +33,7 @@ class DegreeCapExceeded(ValueError):
 
 
 class RootConvergenceError(ArithmeticError):
-    """Simultaneous root iteration failed to reach the residual target."""
+    """Computed polynomial roots miss the residual target."""
 
 
 # ---------------------------------------------------------------------------
@@ -328,53 +328,27 @@ def approx_gcd(p, q):
 
 
 # ---------------------------------------------------------------------------
-# Root finding (simultaneous Aberth-Ehrlich iteration)
+# Root finding (eigenvalues of the companion matrix)
 # ---------------------------------------------------------------------------
 
 def poly_roots(p):
-    """All roots of p with multiplicity, by Aberth-Ehrlich iteration.
+    """All roots of p with multiplicity, in np.sort_complex order.
 
-    Convergence requires the backward-stable residual
-    |p(z)| <= TAU_ROOT * scale * max(1, |z|)^deg for every root.
+    They are the eigenvalues of the companion matrix of p scaled to unit
+    largest coefficient, and each must meet the backward residual bound
+    |p(z)| <= TAU_ROOT * scale * max(1, |z|)^deg.
     """
     p = p if isinstance(p, Polynomial) else Polynomial(p)
     if p.degree < 1:
         raise ValueError("need degree >= 1 to extract roots")
-    coeffs = p.coefficients.copy()
-    # deflate exact roots at the origin
-    n_zero = 0
-    while n_zero < len(coeffs) - 1 and coeffs[n_zero] == 0:
-        n_zero += 1
-    coeffs = coeffs[n_zero:]
-    n = len(coeffs) - 1
-    zero_roots = np.zeros(n_zero, dtype=complex)
-    if n == 0:
-        return zero_roots
-    coeffs = coeffs / np.max(np.abs(coeffs))
-    deriv = polyder(coeffs)
-    radius = min(1.0 + float(np.max(np.abs(coeffs[:-1]) / abs(coeffs[-1]))), 4.0)
-
-    worst = []           # per attempt: its largest scaled residual
-    for attempt in range(3):
-        angles = 2 * np.pi * (np.arange(n) / n + 0.376 + 0.21 * attempt)
-        z = 0.7 * radius * (1.0 + 0.12 * attempt) * np.exp(1j * angles)
-        for _ in range(400):
-            pv = polyval(z, coeffs)
-            lim = TAU_ROOT * np.maximum(1.0, np.abs(z)) ** n
-            if np.all(np.abs(pv) <= lim):
-                return np.concatenate([zero_roots, z])
-            pd = polyval(z, deriv)
-            small = np.abs(pd) < 1e-280
-            w = pv / np.where(small, 1.0, pd)
-            w = np.where(small, 0.05 * (1 + np.abs(z)), w)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - w * s
-            denom = np.where(np.abs(denom) < 1e-280, 1.0, denom)
-            z = z - w / denom
-        worst.append(np.max(np.abs(polyval(z, coeffs)) / np.maximum(1.0, np.abs(z)) ** n))
-    raise RootConvergenceError(f"root iteration stalled (worst scaled residual {min(worst):.3e})")
+    c, n = p.coefficients / p.scale, p.degree
+    companion = np.diag(np.ones(n - 1, dtype=complex), -1)
+    companion[:, -1] = -c[:-1] / c[-1]
+    z = np.sort_complex(np.linalg.eigvals(companion))
+    worst = np.max(np.abs(polyval(z, c)) / np.maximum(1.0, np.abs(z)) ** n)
+    if not worst <= TAU_ROOT:
+        raise RootConvergenceError(f"roots miss the residual bound (worst scaled residual {worst:.3e})")
+    return z
 
 
 # ---------------------------------------------------------------------------

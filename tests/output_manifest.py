@@ -112,7 +112,10 @@ def check(manifest_path=MANIFEST, cold=False):
         moved = [key for key in ("exit", "stderr", "files") if old[key] != new[key]]
         if moved:
             changed += 1
-            print(f"{old['workload']} seed {old['seed']}: {', '.join(moved)} changed: "
+            files = sorted(name for name in old["files"].keys() | new["files"].keys()
+                           if old["files"].get(name) != new["files"].get(name))
+            named = f" ({', '.join(files)})" if files else ""
+            print(f"{old['workload']} seed {old['seed']}: {', '.join(moved)} changed{named}: "
                   f"{' '.join(old['argv'])}", file=sys.stderr)
     print(f"{len(manifest['jobs'])} jobs, {changed} changed")
     return EXIT_CHANGED if changed else 0

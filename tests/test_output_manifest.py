@@ -53,5 +53,6 @@ sys.exit(m.check(path))
 """)
     assert code == 1, err
     changed = err.splitlines()
-    assert changed == [f"lattes_curves seed 71: files changed: {out.splitlines()[0]}"]
+    assert changed == [f"lattes_curves seed 71: files changed (example1_report.json): "
+                       f"{out.splitlines()[0]}"]
     assert out.splitlines()[1] == "2 jobs, 1 changed"

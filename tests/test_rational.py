@@ -331,12 +331,12 @@ class TestIterate:
 
 class TestRoots:
     def test_stall_is_an_arithmetic_error(self, monkeypatch):
-        # no root meets a zero residual bound, so every attempt runs out
+        # no root meets a zero residual bound, not even one exact to rounding
         monkeypatch.setattr(rational, "TAU_ROOT", 0.0)
         with pytest.raises(RootConvergenceError, match="worst scaled residual") as info:
             poly_roots(Polynomial([-2, 0, 1]))
         assert isinstance(info.value, ArithmeticError)     # the CLI's exit 2
-        # the best attempt found the roots +-sqrt(2) to rounding
+        # the eigenvalues are the roots +-sqrt(2) to rounding
         assert float(str(info.value).rsplit(" ", 1)[1].rstrip(")")) < 1e-15
 
     def test_quadratics(self):
@@ -363,14 +363,18 @@ class TestRoots:
             p = poly_from_roots(roots)
             found = poly_roots(p)
             assert len(found) == deg
+            assert np.array_equal(found, np.sort_complex(found))     # the canonical order
             rebuilt = poly_from_roots(found)
             assert poly_allclose(rebuilt, p, rtol=1e-8)
 
     def test_oracle_agreement(self, rng):
-        # companion-matrix eigenvalues as the independent reference
+        # mpmath's Durand-Kerner iteration at 30 digits as the independent reference
+        mpmath = pytest.importorskip("mpmath")
         c = rng.normal(size=7) + 1j * rng.normal(size=7)
         mine = np.sort_complex(np.asarray(poly_roots(Polynomial(c))))
-        ref = np.sort_complex(np.roots(c[::-1]))
+        with mpmath.workdps(30):
+            ref = mpmath.polyroots([mpmath.mpc(x) for x in c[::-1]], maxsteps=200, extraprec=60)
+        ref = np.sort_complex(np.array([complex(z) for z in ref]))
         assert np.max(np.abs(mine - ref)) < 1e-8
 
 
@@ -405,7 +409,30 @@ class TestFixedPoints:
     def test_count_is_degree_plus_one(self, rng):
         for _ in range(50):
             f = random_rational_map(rng, int(rng.integers(2, 6)))
-            assert len(fixed_points(f)) == f.degree + 1
+            fps = fixed_points(f)
+            assert len(fps) == f.degree + 1
+            for fp in fps:
+                if not is_infinite(fp.location):
+                    assert chordal(f(fp.location), fp.location) <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_parabolic_multiplicity(self, k):
+        # z + z^k fixes 0 with multiplicity k, each copy with multiplier 1,
+        # and infinity (superattracting) fills the count to degree + 1
+        fps = fixed_points(RationalMap(Polynomial([0, 1]) + Polynomial.monomial(k)))
+        finite = [fp for fp in fps if not is_infinite(fp.location)]
+        assert len(finite) == k and len(fps) == k + 1
+        for fp in finite:
+            assert fp.location == 0
+            assert fp.multiplier == 1 and fp.kind == NEUTRAL_RATIONAL
+        assert [fp.kind for fp in fps if is_infinite(fp.location)] == [SUPERATTRACTING]
+
+    def test_shifted_parabolic_point(self):
+        # z + (z - 1)^2: a double root at 1, found to about sqrt(eps)
+        fps = fixed_points(RationalMap([1, -1, 1]))
+        finite = [fp.location for fp in fps if not is_infinite(fp.location)]
+        assert len(finite) == 2
+        assert max(abs(a - 1) for a in finite) <= 1e-6
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
