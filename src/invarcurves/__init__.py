@@ -25,9 +25,11 @@ _EXPORTS = {
     "lattes": ("LattesSystem", "lattes_from_invariants", "verify_lattes"),
     "semiconj": ("SemiconjTriple", "make_ritt_triple", "make_power_family",
                  "chebyshev", "verify_joukowski_identity", "pakovich_example"),
-    "curves": ("CurveTrace", "FitReport", "trace_wp_line", "invariance_residual",
+    "geometry": ("CurveTrace",),
+    "curves": ("FitReport", "trace_wp_line", "invariance_residual",
                "circle_fit", "algebraic_fit", "transcendence_scan",
                "lattice_commensurability", "example1_xy_check"),
+    "examples": (),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_OWNER)

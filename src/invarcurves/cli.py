@@ -12,12 +12,11 @@ import gc
 import json
 import math
 import sys
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import curves, elliptic, lattes, poincare, semiconj
+from . import elliptic, examples, geometry, lattes, poincare, semiconj
 from .rational import RationalMap, UniformStream, fixed_points
 
 EXIT_OK = 0
@@ -25,7 +24,6 @@ EXIT_PRECONDITION = 2
 EXIT_CERTIFICATION = 3
 EXIT_USAGE = 64
 
-INVARIANCE_TOL = 1e-7
 FORMATS = {"json", "csv", "svg"}
 
 
@@ -134,16 +132,18 @@ def _complex_arg(text):
 
 def _json_value(obj):
     """The one JSON rule of the reports: a complex is [re, im], an array its
-    nested list, and any other object its to_json_dict() or, for a
-    dataclass, its fields."""
+    nested list (of [re, im] pairs if complex), and any other object its
+    to_json_dict() or, for a record, the values of its __slots__."""
     if isinstance(obj, (complex, np.complexfloating)):
         return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            obj = np.stack((obj.real, obj.imag), -1)
         return obj.tolist()
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
-    if is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if hasattr(obj, "__slots__"):
+        return {name: getattr(obj, name) for name in obj.__slots__}
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
@@ -159,16 +159,6 @@ def _write(outdir, name, content):
         raise UsageError(f"cannot write {name} under --out: {exc}")
 
 
-def _stages(label):
-    """A runner of named pipeline stages: a failure aborts with the stage name."""
-    def run(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"{label}, stage '{name}': {exc}") from exc
-    return run
-
-
 def _write_trace(args, trace, fit=None, fixed_map=None):
     """trace.csv and trace.svg where --format asks for them (the JSON
     reports are always written); the SVG marks fixed_map's fixed points."""
@@ -176,64 +166,80 @@ def _write_trace(args, trace, fit=None, fixed_map=None):
         _write(args.out, "trace.csv", trace.to_csv())
     if "svg" in args.format:
         fps = () if fixed_map is None else [p.location for p in fixed_points(fixed_map)]
-        _write(args.out, "trace.svg", curves.trace_svg(trace, fit, fps))
+        _write(args.out, "trace.svg", geometry.trace_svg(trace, fit, fps))
 
 
-def build_parser():
+SUBCOMMANDS = {"poincare": "solve a linearizer and trace F(R)",
+               "lattes": "duplication map from a lattice",
+               "semiconj": "build or verify a semiconjugacy triple",
+               "example": "run a scripted reproduction pipeline"}
+
+
+def build_parser(argv=()):
+    """The parser of the job that argv names: the top parser with only its
+    subcommand (and example number).  When argv names none (help, an unknown
+    word, no words), with all of them, so help and errors read in full."""
     parser = _Parser(prog="invarcurves",
                      description="invariant-curve laboratory for rational maps")
     subs = parser.add_subparsers(dest="command", required=True)
+    parsers = {name: subs.add_parser(name, help=SUBCOMMANDS[name]) for name in
+               (argv[:1] if argv[:1] and argv[0] in SUBCOMMANDS else SUBCOMMANDS)}
+    if "example" in parsers:
+        numbers = parsers.pop("example").add_subparsers(dest="which", required=True)
+        for which in [n for n in "123" if n in argv[1:2]] or "123":  # named, else all
+            parsers[which] = numbers.add_parser(which)
 
-    pc = subs.add_parser("poincare", help="solve a linearizer and trace F(R)")
-    pc.add_argument("--map", required=True, help="rational map (JSON or @file)")
-    pc.add_argument("--fixed-point", required=True, help="repelling fixed point, as re,im")
-    pc.add_argument("--trace-range", type=float, default=10.0, help="trace F on [-T, T]")
-    pc.add_argument("--order", type=_positive(int, "series order"), default=60,
-                    help="series truncation order")
+    def built(*names):
+        return [parsers[name] for name in names if name in parsers]
 
-    la = subs.add_parser("lattes", help="duplication map from a lattice")
-    la.add_argument("--lattice", required=True, help="lattice JSON or @file")
-
-    sc = subs.add_parser("semiconj", help="build or verify a semiconjugacy triple")
-    sc.add_argument("--u", help="left factor (JSON or @file)")
-    sc.add_argument("--v", help="right factor (JSON or @file)")
-    sc.add_argument("--w", help="power-family rational function")
-    sc.add_argument("--m", type=int, default=1, help="power-family exponent m")
-    sc.add_argument("--n", type=int, default=2, help="power-family exponent n")
-    sc.add_argument("--verify", nargs=4, metavar=("F", "G", "H", "N"),
-                    help="verify an explicit triple")
-
-    examples = subs.add_parser("example", help="run a scripted reproduction pipeline") \
-        .add_subparsers(dest="which", required=True)
-    e1, e2, e3 = (examples.add_parser(which) for which in "123")
-    e1.add_argument("--omega1", type=_finite(_positive(float, "half-period")), default=1.0)
-    e1.add_argument("--omega2", type=_finite(_positive(float, "half-period")), default=1.0)
-    e2.add_argument("--p", type=_finite(float), default=math.sqrt(2.0),
-                    help="real irrational part of the skew period")
-    for e, d_max in ((e1, 8), (e2, 6)):
-        e.add_argument("--offset-thirds", type=int, default=1,
-                       help="offset = (second generator) * thirds / 3")
-        e.add_argument("--dmax", type=_positive(int, "scan degree"), default=d_max)
-    e3.add_argument("--hyperbola-n", type=int, default=3)
+    for pc in built("poincare"):
+        pc.add_argument("--map", required=True, help="rational map (JSON or @file)")
+        pc.add_argument("--fixed-point", required=True, help="repelling fixed point, as re,im")
+        pc.add_argument("--trace-range", type=float, default=10.0, help="trace F on [-T, T]")
+        pc.add_argument("--order", type=_positive(int, "series order"), default=60,
+                        help="series truncation order")
+    for la in built("lattes"):
+        la.add_argument("--lattice", required=True, help="lattice JSON or @file")
+    for sc in built("semiconj"):
+        sc.add_argument("--u", help="left factor (JSON or @file)")
+        sc.add_argument("--v", help="right factor (JSON or @file)")
+        sc.add_argument("--w", help="power-family rational function")
+        sc.add_argument("--m", type=int, default=1, help="power-family exponent m")
+        sc.add_argument("--n", type=int, default=2, help="power-family exponent n")
+        sc.add_argument("--verify", nargs=4, metavar=("F", "G", "H", "N"),
+                        help="verify an explicit triple")
+    for e1 in built("1"):
+        e1.add_argument("--omega1", type=_finite(_positive(float, "half-period")), default=1.0)
+        e1.add_argument("--omega2", type=_finite(_positive(float, "half-period")), default=1.0)
+    for e2 in built("2"):
+        e2.add_argument("--p", type=_finite(float), default=math.sqrt(2.0),
+                        help="real irrational part of the skew period")
+    for which, d_max in (("1", 8), ("2", 6)):
+        for e in built(which):
+            e.add_argument("--offset-thirds", type=int, default=1,
+                           help="offset = (second generator) * thirds / 3")
+            e.add_argument("--dmax", type=_positive(int, "scan degree"), default=d_max)
+    for e3 in built("3"):
+        e3.add_argument("--hyperbola-n", type=int, default=3)
 
     # the shared flags, each on the jobs whose handler reads it
-    for sub in (pc, la, sc, e1, e2, e3):
+    for sub in built("poincare", "lattes", "semiconj", "1", "2", "3"):
         sub.add_argument("--out", type=Path, default="out", help="output directory")
-    for sub in (pc, la, e1, e2, e3):
+    for sub in built("poincare", "lattes", "1", "2", "3"):
         sub.add_argument("--seed", type=int, default=0, help="RNG seed")
         sub.add_argument("--samples", type=_positive(int, "sample count"), default=1024,
                          help="sample count")
-    for sub in (la, sc):
+    for sub in built("lattes", "semiconj"):
         sub.add_argument("--tol", type=_positive(float, "tolerance"), default=None,
                          help="override certification tolerance")
-    for sub in (pc, e1, e2, e3):
+    for sub in built("poincare", "1", "2", "3"):
         sub.add_argument("--format", type=_formats, default="json,csv,svg",
                          help="comma list of output formats")
     return parser
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands (the example pipelines are in examples.py)
 # ---------------------------------------------------------------------------
 
 def cmd_poincare(args):
@@ -323,96 +329,10 @@ def cmd_semiconj(args):
     return EXIT_OK
 
 
-def _wp_line(args, run, lat, offset):
-    """Examples 1 and 2 on the wp-image of the line through offset, up to the
-    degree scan (to --dmax): the invariants, the Lattes system, the trace and
-    the report keys the two examples have in common."""
-    inv = run("invariants", elliptic.invariants_from_lattice, lat)
-    system = run("duplication map", lattes.lattes_from_invariants, inv)
-    trace = run("trace", curves.trace_wp_line, inv, offset, n=args.samples)
-    inv_res = run("invariance", curves.invariance_residual, system.map, trace)
-    par_res = run("parametric invariance",
-                  curves.parametric_wp_invariance_residual, inv, system.map, offset)
-    cf = run("circle fit", curves.circle_fit, trace)
-    scan = run("degree scan", curves.transcendence_scan, trace, args.dmax)
-    return inv, system, trace, {
-        "lattice": lat,
-        "invariance_residual": inv_res,
-        "parametric_invariance_residual": par_res,
-        "verdict": {
-            "invariant": max(inv_res, par_res) <= INVARIANCE_TOL,
-            "circle": curves.is_circle(cf),
-        },
-        "circle_fit": cf,
-        "fit_scan": scan,
-    }
-
-
-def _example_1(args):
-    run = _stages("example 1")
-    lat = run("lattice", elliptic.Lattice, 2.0 * args.omega1, 2j * args.omega2)
-    offset = lat.g2 * args.offset_thirds / 3.0
-    inv, system, trace, report = _wp_line(args, run, lat, offset)
-    dup_res = run("duplication residual", lattes.verify_lattes, system, seed=args.seed)
-    xy = run("reflection check", curves.example1_xy_check, inv, offset, seed=args.seed)
-    _write_trace(args, trace, report["circle_fit"], system.map)
-    degree = report["fit_scan"].first_passing_degree
-    report["verdict"].update(algebraic=degree is not None, algebraic_degree=degree)
-    report.update(g2=inv.g2, g3=inv.g3, duplication_residual=dup_res,
-                  trace_closed=trace.closed, reflection_xy=xy)
-    return report
-
-
-def _example_2(args):
-    run = _stages("example 2")
-    tau = complex(args.p, 1.0)
-    lat = run("lattice", elliptic.Lattice, 1.0, tau)
-    _, _, trace, report = _wp_line(args, run, lat, tau * args.offset_thirds / 3.0)
-    # paired control: the algebraic curve of the rectangular-lattice example
-    control_lat = elliptic.Lattice(2.0, 2j)
-    control_inv = elliptic.invariants_from_lattice(control_lat)
-    control_trace = curves.trace_wp_line(control_inv, control_lat.g2 / 3.0,
-                                         n=args.samples)
-    control = run("control scan", curves.transcendence_scan, control_trace, 8)
-    verdictL = run("commensurability", curves.lattice_commensurability,
-                   lat, elliptic.Lattice(1.0, tau.conjugate()))
-    _write_trace(args, trace, report["circle_fit"])
-    evidence = report["fit_scan"].transcendence_evidence
-    report["verdict"].update(algebraic_evidence=not evidence, transcendence_evidence=evidence,
-                             control_passed=control.first_passing_degree is not None,
-                             lattices=str(verdictL))
-    report.update(control_scan=control, commensurability=verdictL)
-    return report
-
-
-def _example_3(args):
-    run = _stages("example 3")
-    n = args.hyperbola_n
-    example = run("hyperbola system", semiconj.pakovich_example, n, args.samples)
-    jk = [semiconj.verify_joukowski_identity(k) for k in range(1, 9)]
-    hyper = run("hyperbola equation", example.hyperbola_residual)
-    inv_res = run("invariance", example.invariance_residual)
-    _write_trace(args, example.trace)
-    return {
-        "n": n,
-        "epsilon": example.epsilon,
-        "joukowski_identity_residuals": jk,
-        "rotation_identity_residual": example.rotation_residual,
-        "hyperbola_equation_residual": hyper,
-        "invariance_residual": inv_res,
-        "verdict": {
-            "joukowski_identity": max(jk) <= 1e-12,
-            "rotation_identity": example.rotation_residual <= 1e-12,
-            "hyperbola": hyper <= 1e-10,
-            "hyperbola_invariant": inv_res <= INVARIANCE_TOL,
-        },
-        "map": example.map,
-    }
-
-
 def cmd_example(args):
+    report, drawing = examples.run(args)
+    _write_trace(args, *drawing)
     which = int(args.which)
-    report = {1: _example_1, 2: _example_2, 3: _example_3}[which](args)
     report.update(example=which, seed=args.seed)
     _write(args.out, f"example{which}_report.json", _dump_json(report))
     return EXIT_OK
@@ -423,9 +343,9 @@ def main(argv=None):
     exit spares it the final collections; unlike os._exit, atexit and stdio flush still run."""
     if argv is None:
         atexit.register(gc.freeze)
-    parser = build_parser()
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         handler = {"poincare": cmd_poincare, "lattes": cmd_lattes,
                    "semiconj": cmd_semiconj, "example": cmd_example}[args.command]
         return handler(args)

@@ -9,12 +9,10 @@ with the never-vanishing pivot Q(a) (lambda^k - lambda).
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (CurveTrace, SegmentBoxes, _segments, points_to_polyline_distance,
-                     segment_pair_distance)
+from . import geometry      # a stub until a trace is made: untraced jobs never run it
 from .rational import (_HUGE, TAU_CLASS, REPELLING, chordal, chordal_array,
                        embed_points, fixed_points, multiplier, polyval, pull_back,
                        push_forward)
@@ -183,7 +181,7 @@ def trace_real_axis(F, t_max, n=1001):
     tag = "poincare-real-axis"
     if lam.real < 0:
         tag += " (invariance certified for the second iterate)"
-    return CurveTrace(ts, values, closed=False, source=tag)
+    return geometry.CurveTrace(ts, values, closed=False, source=tag)
 
 
 def is_real_multiplier(lam):
@@ -195,13 +193,17 @@ def is_real_multiplier(lam):
 # Diagnostics from the non-injectivity argument
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Crossing:
     """Two well-separated parameters whose curve points (nearly) coincide."""
-    s: float
-    t: float
-    point: complex
-    distance: float
+
+    __slots__ = ("s", "t", "point", "distance")
+
+    def __init__(self, s, t, point, distance):
+        self.s, self.t, self.point, self.distance = s, t, point, distance
+
+    def __eq__(self, other):
+        return type(other) is Crossing and (self.s, self.t, self.point, self.distance) \
+            == (other.s, other.t, other.point, other.distance)
 
 
 def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
@@ -215,7 +217,7 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
     closed trace includes its closing segment and measures parameter
     separation around the seam.  The result is that of comparing every pair
     of segments, from one table of segment and block bounding boxes
-    (curves.SegmentBoxes): candidates come from block pairs whose boxes,
+    (geometry.SegmentBoxes): candidates come from block pairs whose boxes,
     padded by tol_cross, overlap and whose runs can hold an excursion, and
     the excursion is decided by the run's middle vertex or by a descent of
     the table through the blocks that meet the run, a block inside it
@@ -230,7 +232,7 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
     """
     if len(trace) < 2:
         raise ValueError("need at least two samples")
-    a, b = _segments(trace.embedded(), trace.closed)
+    a, b = geometry._segments(trace.embedded(), trace.closed)
     m = min_separation_steps
     params = trace.params
     # the median step, as np.median computes it; np.median itself would
@@ -244,7 +246,7 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
     if trace.closed:
         period = params[-1] - params[0] + step
         ends = np.append(params, params[0] + period)
-    boxes = SegmentBoxes(a, b)
+    boxes = geometry.SegmentBoxes(a, b)
     # a few ulps of the unit sphere on top of tol_cross keep every pair whose
     # rounded distance is <= tol_cross among the candidates; the meeting
     # point rounds within a few ulps of its segment, so a run that fits in a
@@ -260,7 +262,7 @@ def injectivity_check(trace, tol_cross=TAU_CROSS, min_separation_steps=10):
             gap = np.minimum(gap, period - (ends[j + 1] - ends[i]))
         keep = gap >= min_gap
         i, j = i[keep], j[keep]
-        d, p1, _ = segment_pair_distance(a[i], b[i], a[j], b[j])
+        d, p1, _ = geometry.segment_pair_distance(a[i], b[i], a[j], b[j])
         near = d <= tol_cross
         i, j, d, p1 = i[near], j[near], d[near], p1[near]
         far = boxes.any_far(i, j + 1, p1.T, EXCURSION)
@@ -315,6 +317,6 @@ def multiplier_real_check(f, trace):
     of an analytic curve through them demands?  True when none is near."""
     repelling = [info for info in fixed_points(f) if info.kind == REPELLING]
     values = np.array([i.location for i in repelling], dtype=complex)
-    dists = points_to_polyline_distance(embed_points(values), trace)
+    dists = geometry.points_to_polyline_distance(embed_points(values), trace)
     return all(abs(info.multiplier.imag) <= 1e-8 * max(1.0, abs(info.multiplier))
                for info, dist in zip(repelling, dists.tolist()) if dist <= 0.05)

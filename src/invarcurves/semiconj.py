@@ -7,11 +7,10 @@ invariant hyperbola illustrates the non-Jordan case.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import curves
+from . import geometry
 from .rational import (DegreeCapExceeded, DEGREE_CAP, Polynomial, RationalMap,
                        chain_identity_residual, chordal_array, coefficient_residual,
                        compose, identity_residual)
@@ -19,13 +18,13 @@ from .rational import (DegreeCapExceeded, DEGREE_CAP, Polynomial, RationalMap,
 IDENTITY_RESIDUAL_TOL = 1e-9
 
 
-@dataclass
 class SemiconjTriple:
     """Maps with h o g = f^n o h; holds by construction, certified numerically."""
-    f: RationalMap
-    g: RationalMap
-    h: RationalMap
-    n: int = 1
+
+    __slots__ = ("f", "g", "h", "n")
+
+    def __init__(self, f, g, h, n=1):
+        self.f, self.g, self.h, self.n = f, g, h, n
 
     def residual(self):
         return certify_triple(self)
@@ -105,17 +104,16 @@ def verify_joukowski_identity(n):
     return coefficient_residual(lhs, rhs)
 
 
-@dataclass
 class HyperbolaExample:
     """u = J(eps z) with eps = exp(2 pi i / n): u(R) is a hyperbola swept by
-    (cos(theta) (x + 1/x)/2, sin(theta) (x - 1/x)/2), invariant under u o T_n."""
-    map: RationalMap          # f = u o T_n
-    trace: "curves.CurveTrace"  # the x = e^s > 0 branch of u(R), s the parameter
-    u: RationalMap
-    n: int
-    epsilon: complex
-    theta: float
-    rotation_residual: float  # identity residual of R(eps z) = R(z)
+    (cos(theta) (x + 1/x)/2, sin(theta) (x - 1/x)/2), invariant under map = u o T_n;
+    trace is its x = e^s > 0 branch, rotation_residual the residual of R(eps z) = R(z)."""
+
+    __slots__ = ("map", "trace", "u", "n", "epsilon", "theta", "rotation_residual")
+
+    def __init__(self, map, trace, u, n, epsilon, theta, rotation_residual):
+        self.map, self.trace, self.u, self.n = map, trace, u, n
+        self.epsilon, self.theta, self.rotation_residual = epsilon, theta, rotation_residual
 
     def hyperbola_residual(self):
         """Max |(X/cos theta)^2 - (Y/sin theta)^2 - 1| over the trace."""
@@ -161,7 +159,7 @@ def pakovich_example(n, n_samples=4001, principal=True):
     ss = np.linspace(-3.0, 3.0, n_samples)
     xs = np.exp(ss)
     values = u.eval_array(xs.astype(complex))
-    trace = curves.CurveTrace(ss, values, closed=False,
+    trace = geometry.CurveTrace(ss, values, closed=False,
                               source=f"halved-sum hyperbola (n={n}, positive branch)")
     return HyperbolaExample(map=f, trace=trace, u=u, n=n, epsilon=eps, theta=theta,
                             rotation_residual=rot)

@@ -91,7 +91,7 @@ def lattes_from_lattice(lattice):
 def trace_from_csv(text, closed=False, source=""):
     """The CurveTrace that CurveTrace.to_csv wrote: rows with is_infinite = 1
     come back as complex inf."""
-    from invarcurves.curves import CurveTrace
+    from invarcurves.geometry import CurveTrace
 
     params, values = [], []
     for ln in text.strip().splitlines()[1:]:
@@ -468,7 +468,7 @@ def dense_polyline_distance(points_emb, trace, chunk=256):
     Same segments and arithmetic per point-segment pair, so the distances
     must be equal, not close.
     """
-    from invarcurves.curves import _segments
+    from invarcurves.geometry import _segments
 
     points_emb = np.atleast_2d(points_emb)
     a, b = _segments(trace.embedded(), trace.closed)
@@ -526,7 +526,7 @@ def quadratic_injectivity_check(trace, tol_cross=1e-6, min_separation_steps=10,
     Same segments (closing segment included for a closed trace), filters and
     arithmetic per pair, so the crossing lists must be equal, not close.
     """
-    from invarcurves.curves import _segments, segment_pair_distance
+    from invarcurves.geometry import _segments, segment_pair_distance
     from invarcurves.poincare import Crossing
 
     emb = trace.embedded()

@@ -577,6 +577,86 @@ class TestEachJobDeclaresWhatItReads:
         assert not out.exists()
 
 
+JOB_PARSERS = [("poincare",), ("lattes",), ("semiconj",), ("example",),
+               ("example", "1"), ("example", "2"), ("example", "3")]
+
+
+def sub_parser(parser, path):
+    """The parser that path, e.g. ("example", "1"), names under parser."""
+    for name in path:
+        parser = subparsers_action(parser).choices[name]
+    return parser
+
+
+def subparsers_action(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def type_key(parse):
+    """An argparse type by its code and what its closure holds, so that the
+    types of two builds of one parser compare equal."""
+    if not hasattr(parse, "__code__"):
+        return parse
+    return (parse.__code__, parse.__name__,
+            tuple(type_key(cell.cell_contents) for cell in parse.__closure__ or ()))
+
+
+def declared_actions(parser):
+    return [(a.option_strings, a.dest, a.default, type_key(a.type), a.nargs, a.required,
+             list(a.choices) if isinstance(a.choices, dict) else a.choices, a.metavar, a.help)
+            for a in parser._actions]
+
+
+class TestParserPerJob:
+    @pytest.mark.parametrize("path", JOB_PARSERS, ids=" ".join)
+    def test_a_parser_built_alone_is_the_full_parsers(self, path):
+        alone = cli.build_parser(list(path) + ["--out", "x"])
+        assert list(subparsers_action(alone).choices) == [path[0]]
+        full = sub_parser(cli.build_parser(), path)
+        alone = sub_parser(alone, path)
+        assert declared_actions(alone) == declared_actions(full)
+        assert alone.format_help() == full.format_help()
+
+    def test_an_example_number_builds_that_example_alone(self):
+        parser = sub_parser(cli.build_parser(["example", "2", "--samples", "64"]), ["example"])
+        assert list(subparsers_action(parser).choices) == ["2"]
+        # a flag before the number: all three, so that the error names them
+        parser = sub_parser(cli.build_parser(["example", "--samples", "64", "2"]), ["example"])
+        assert list(subparsers_action(parser).choices) == ["1", "2", "3"]
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["-h", "poincare"]])
+    def test_no_subcommand_first_builds_the_full_parser(self, argv):
+        assert list(subparsers_action(cli.build_parser(argv)).choices) == \
+            ["poincare", "lattes", "semiconj", "example"]
+
+    @pytest.mark.parametrize("argv, code, stdout, stderr", [
+        (["--help"], 0, """\
+usage: invarcurves [-h] {poincare,lattes,semiconj,example} ...
+
+invariant-curve laboratory for rational maps
+
+positional arguments:
+  {poincare,lattes,semiconj,example}
+    poincare            solve a linearizer and trace F(R)
+    lattes              duplication map from a lattice
+    semiconj            build or verify a semiconjugacy triple
+    example             run a scripted reproduction pipeline
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+        (["bogus"], 64, "", "usage error: argument command: invalid choice: 'bogus' "
+         "(choose from 'poincare', 'lattes', 'semiconj', 'example')\n"),
+        ([], 64, "", "usage error: the following arguments are required: command\n"),
+    ], ids=["help", "unknown", "none"])
+    def test_cold_help_and_unknown_subcommand(self, argv, code, stdout, stderr):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from invarcurves.cli import main; "
+             "sys.exit(main())", *argv],
+            env=dict(child_env(), COLUMNS="80"), capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (code, stdout, stderr)
+
+
 class TestRuntimeDependencies:
     def test_examples_do_not_import_scipy(self, tmp_path):
         # numpy is the only runtime dependency; example 3 and example 1 at
@@ -617,6 +697,17 @@ class TestColdProcess:
             env=child_env(), capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (code, err)
         assert out_files(tmp_path / "cold") == out_files(tmp_path / "warm")
+
+    def test_module_entry_point_keeps_the_exit_codes(self, tmp_path):
+        # python -m runs cli.py as __main__, apart from invarcurves.cli: an
+        # example job's usage error must be its exit 64, not a traceback from
+        # a UsageError of a second copy of the module that main does not catch
+        (tmp_path / "file").touch()
+        done = subprocess.run(
+            [sys.executable, "-m", "invarcurves.cli", "example", "3", "--samples", "64",
+             "--out", str(tmp_path / "file")], env=child_env(), capture_output=True, text=True)
+        assert done.returncode == 64
+        assert done.stderr.startswith("usage error: cannot write trace.csv under --out")
 
 
 # argv pieces for the fuzz test: extreme and malformed values next to valid

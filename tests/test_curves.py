@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from invarcurves import curves
+from invarcurves import curves, geometry
 from invarcurves.curves import (CurveTrace, algebraic_fit,
                                 circle_fit, example1_xy_check, invariance_residual,
                                 is_circle, lattice_commensurability,
@@ -146,7 +146,7 @@ def polyline_queries(draw):
         z[i] = z[i - 1]
     z[rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.1]))] = np.inf
     trace = CurveTrace(np.arange(n, dtype=float), z, closed=draw(st.booleans()))
-    a, b = curves._segments(trace.embedded(), trace.closed)
+    a, b = geometry._segments(trace.embedded(), trace.closed)
     m = draw(st.integers(1, 60))
     k = rng.integers(len(a), size=m)
     t = np.clip(rng.uniform(-0.5, 1.5, size=m), 0.0, 1.0)
@@ -162,7 +162,7 @@ class TestPolylineDistance:
     def test_equals_dense_oracle(self, case, chunk):
         points, trace = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(curves, "SWEEP_CHUNK", chunk)
+            patch.setattr(geometry, "SWEEP_CHUNK", chunk)
             got = curves.points_to_polyline_distance(points, trace)
         assert np.array_equal(got, dense_polyline_distance(points, trace))
 
@@ -180,13 +180,13 @@ class TestPolylineDistance:
     def measured(self, monkeypatch):
         """[count] of the (point, segment) pairs that are measured."""
         count = [0]
-        near = curves.SegmentBoxes.near
+        near = geometry.SegmentBoxes.near
 
         def counting(boxes, p, pad):
             for o, s in near(boxes, p, pad):
                 count[0] += len(o)
                 yield o, s
-        monkeypatch.setattr(curves.SegmentBoxes, "near", counting)
+        monkeypatch.setattr(geometry.SegmentBoxes, "near", counting)
         return count
 
     @pytest.mark.parametrize("lattice", [Lattice(2.0, 0.5 + 1.5j), Lattice(1.0, 0.3 + 0.8j),
@@ -220,7 +220,7 @@ class TestPolylineDistance:
         th = np.linspace(0, 2 * np.pi, 4097)[:-1]
         trace = CurveTrace(th, np.exp(1j * th), closed=True)
         poles = embed_points(np.array([0j, INF] * 32))
-        monkeypatch.setattr(curves, "SWEEP_CHUNK", 2048)
+        monkeypatch.setattr(geometry, "SWEEP_CHUNK", 2048)
         tracemalloc.start()
         try:
             got = curves.points_to_polyline_distance(poles, trace)
@@ -260,9 +260,9 @@ class TestSegmentBoxes:
         v = self.path(rng)
         a, b = v[:-1], v[1:]
         pad, steps, spread = 1e-4, int(rng.integers(1, 12)), 1e-3
-        monkeypatch.setattr(curves, "SWEEP_CHUNK", chunk)
+        monkeypatch.setattr(geometry, "SWEEP_CHUNK", chunk)
         got = set()
-        for i, j in curves.SegmentBoxes(a, b).pairs(pad, steps, spread):
+        for i, j in geometry.SegmentBoxes(a, b).pairs(pad, steps, spread):
             got |= set(zip(i.tolist(), j.tolist()))
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         exact, certain = set(), set()
@@ -283,7 +283,7 @@ class TestSegmentBoxes:
     def test_any_far_in_small_chunks(self, shape, seed, segments, chunk, monkeypatch):
         # the cases above with the (run, block) pairs split into chunks, so
         # that a descent resumes from its stack at every level
-        monkeypatch.setattr(curves, "SWEEP_CHUNK", chunk)
+        monkeypatch.setattr(geometry, "SWEEP_CHUNK", chunk)
         self.check_any_far(shape, seed, segments)
 
     def check_any_far(self, shape, seed, segments=None):
@@ -324,7 +324,7 @@ class TestSegmentBoxes:
                 start, stop = rng.integers((n + 1) // 2, size=m), np.full(m, n)
                 start[kind == 1], start[kind == 2] = n - 1, 0
                 p = -reach[:, None] * direction
-        got = curves.SegmentBoxes(v[:-1], v[1:]).any_far(start, stop, p.T.copy(), r)
+        got = geometry.SegmentBoxes(v[:-1], v[1:]).any_far(start, stop, p.T.copy(), r)
         want = [np.any(np.linalg.norm(v[s: e + 1] - q, axis=1) >= r)
                 for s, e, q in zip(start, stop, p)]
         assert got.tolist() == want

@@ -56,3 +56,39 @@ sys.exit(m.check(path))
     assert changed == [f"lattes_curves seed 71: files changed (example1_report.json): "
                        f"{out.splitlines()[0]}"]
     assert out.splitlines()[1] == "2 jobs, 1 changed"
+
+
+def test_one_cold_job_of_each_kind_matches_the_manifest(tmp_path):
+    # the benchmark's own command line, main() on the process's argv: the
+    # parser each job builds is chosen from sys.argv there
+    code, out, err = run(f"""
+import json, sys
+import output_manifest as m
+
+def kind(job):
+    argv, files = job["argv"], job["files"]
+    if argv[0] == "example":
+        return "example " + argv[1]
+    if argv[0] == "poincare":
+        return "poincare traced" if "trace.csv" in files else "poincare untraced"
+    if argv[0] == "semiconj":
+        return "semiconj --verify" if "--verify" in argv else "semiconj build"
+    return argv[0]
+
+manifest = json.loads(m.MANIFEST.read_text())
+first = {{}}
+for job in manifest["jobs"]:
+    first.setdefault(kind(job), job)
+print(" ".join(sorted(first)))
+manifest["jobs"] = list(first.values())
+path = {str(tmp_path / "manifest.json")!r}
+with open(path, "w") as f:
+    json.dump(manifest, f)
+m.jobs = lambda: [(j["workload"], j["seed"], j["argv"]) for j in manifest["jobs"]]
+sys.exit(m.check(path, cold=True))
+""")
+    assert code == 0, err
+    kinds, summary = out.splitlines()
+    assert kinds == ("example 1 example 2 example 3 lattes poincare traced "
+                     "poincare untraced semiconj --verify semiconj build")
+    assert summary == "8 jobs, 0 changed"

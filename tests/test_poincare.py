@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from invarcurves import curves, elliptic, lattes, poincare
-from invarcurves.curves import CurveTrace
+from invarcurves import elliptic, geometry, lattes, poincare
+from invarcurves.geometry import CurveTrace
 from invarcurves.rational import (_HUGE, Polynomial, RationalMap, chordal, compose,
                                   fixed_points, REPELLING)
 
@@ -402,7 +402,7 @@ class TestScanMatchesQuadraticOracle:
     def test_same_crossing_list(self, case, chunk):
         trace, tol, m = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(curves, "SWEEP_CHUNK", chunk)
+            patch.setattr(geometry, "SWEEP_CHUNK", chunk)
             got = poincare.injectivity_check(trace, tol_cross=tol, min_separation_steps=m)
         assert got == quadratic_injectivity_check(trace, tol_cross=tol,
                                                   min_separation_steps=m)
@@ -424,7 +424,7 @@ class TestScanMatchesQuadraticOracle:
         trace = poincare.trace_real_axis(F, 1000.0, 401)
         assert trace.infinite.sum() == 131
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(curves, "SWEEP_CHUNK", 2048)
+            patch.setattr(geometry, "SWEEP_CHUNK", 2048)
             tracemalloc.start()
             try:
                 got = poincare.injectivity_check(trace)
@@ -459,7 +459,7 @@ class TestScanMatchesQuadraticOracle:
 
         def excursion(x):
             emb = trace(x).embedded()
-            _, p1, _ = curves.segment_pair_distance(emb[0:1], emb[1:2], emb[6:7], emb[7:8])
+            _, p1, _ = geometry.segment_pair_distance(emb[0:1], emb[1:2], emb[6:7], emb[7:8])
             return np.linalg.norm(emb[2:3] - p1, axis=1)[0]     # rounded as the oracle
 
         lo, hi = 4e-4, 6e-4
@@ -477,13 +477,13 @@ class TestScanMatchesQuadraticOracle:
         # infinity hold ~L^2 near pairs.  Scanning each pair's run, as the
         # quadratic oracle does, measures ~L^3 / 6 vertices; the box table
         # measures at most n log n
-        far_vertices, scanned = curves._far_vertices, []
+        far_vertices, scanned = geometry._far_vertices, []
 
         def counted(v, p, r):
             scanned[-1] += v.shape[1]
             return far_vertices(v, p, r)
 
-        monkeypatch.setattr(curves, "_far_vertices", counted)
+        monkeypatch.setattr(geometry, "_far_vertices", counted)
         for n in (1001, 2001, 4001):
             trace = poincare.trace_real_axis(EXP, 1000.0, n)
             scanned.append(0)

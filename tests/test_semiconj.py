@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,12 +211,13 @@ class TestHyperbolaExample:
         ex = pakovich_example(3, n_samples=257)
         num, den = ex.map.num.coefficients.copy(), ex.map.den.coefficients.copy()
         {"num": num, "den": den}[part][k] *= 1 + 1e-6
-        assert replace(ex, map=RationalMap(num, den)).invariance_residual() > 1e-7
+        ex.map = RationalMap(num, den)
+        assert ex.invariance_residual() > 1e-7
 
     def test_wrong_n_fails_invariance(self):
         ex = pakovich_example(3, n_samples=257)
-        wrong = replace(ex, map=compose(ex.u, chebyshev_map(4)))
-        assert wrong.invariance_residual() > 1e-7
+        ex.map = compose(ex.u, chebyshev_map(4))
+        assert ex.invariance_residual() > 1e-7
 
     def test_invariance_rejects_a_coarse_trace(self):
         assert pakovich_example(3, n_samples=16).invariance_residual() <= 1e-12

@@ -24,6 +24,10 @@ LATTICE_JSON = json.dumps({"g1": [2.0, 0.0], "g2": [0.0, 2.0]})
 POINCARE_ARGV = ["poincare", "--map",
                  json.dumps({"num": [[-2, 0], [0, 0], [1, 0]], "den": [[1, 0]]}),
                  "--fixed-point", "2,0", "--samples", "64", "--order", "20"]
+# z^2 + (1 + i) z at 0: multiplier 1 + i, not real, so nothing is traced
+UNTRACED_ARGV = ["poincare", "--map",
+                 json.dumps({"num": [[0, 0], [1, 1], [1, 0]], "den": [[1, 0]]}),
+                 "--fixed-point", "0,0", "--order", "20"]
 
 # the public names; each must resolve to its module's object
 PUBLIC = {
@@ -37,17 +41,20 @@ PUBLIC = {
     "lattes": ["LattesSystem", "lattes_from_invariants", "verify_lattes"],
     "semiconj": ["SemiconjTriple", "make_ritt_triple", "make_power_family", "chebyshev",
                  "verify_joukowski_identity", "pakovich_example"],
-    "curves": ["CurveTrace", "FitReport", "trace_wp_line", "invariance_residual",
+    "geometry": ["CurveTrace"],
+    "curves": ["FitReport", "trace_wp_line", "invariance_residual",
                "circle_fit", "algebraic_fit", "transcendence_scan",
                "lattice_commensurability", "example1_xy_check"],
+    "examples": [],
 }
 
 
 # imports that no job of the tests below needs: numpy.ma comes with
 # np.median, numpy.polynomial loads six series families, fractions is read
-# only by lattice_commensurability, and numpy.random (ten extension modules
-# and OpenSSL through secrets) draws a stream rational.UniformStream repeats
-AVOIDABLE = ("fractions", "numpy.ma", "numpy.polynomial", "numpy.random")
+# only by lattice_commensurability, numpy.random (ten extension modules
+# and OpenSSL through secrets) draws a stream rational.UniformStream repeats,
+# and dataclasses generates and compiles code for each class it decorates
+AVOIDABLE = ("dataclasses", "fractions", "numpy.ma", "numpy.polynomial", "numpy.random")
 
 
 def fresh(script):
@@ -84,8 +91,16 @@ def after_job(argv, tmp_path):
      ["cli", "rational", "semiconj"]),
     (["lattes", "--lattice", LATTICE_JSON, "--samples", "64"],
      ["cli", "elliptic", "lattes", "rational"]),
-    (POINCARE_ARGV, ["cli", "curves", "poincare", "rational"]),
-], ids=["semiconj", "verify", "lattes", "poincare"])
+    (POINCARE_ARGV, ["cli", "geometry", "poincare", "rational"]),
+    (UNTRACED_ARGV, ["cli", "poincare", "rational"]),
+    (["example", "1", "--samples", "256"],
+     ["cli", "curves", "elliptic", "examples", "geometry", "lattes", "rational"]),
+    (["example", "2", "--samples", "256"],
+     ["cli", "curves", "elliptic", "examples", "geometry", "lattes", "rational"]),
+    (["example", "3", "--samples", "256"],
+     ["cli", "examples", "geometry", "rational", "semiconj"]),
+], ids=["semiconj", "verify", "lattes", "poincare", "untraced", "example1", "example2",
+        "example3"])
 def test_unused_submodules_stay_stubs(tmp_path, argv, ran):
     code, executed, stubs, loaded = after_job(argv, tmp_path)
     assert code == 0
@@ -94,6 +109,8 @@ def test_unused_submodules_stay_stubs(tmp_path, argv, ran):
     assert stubs == sorted(set(PUBLIC) - set(ran))
     # rational.py's own Horner, derivative and division stand in for it
     assert "numpy.polynomial" not in loaded
+    # the report records are __slots__ classes: no code generated at import
+    assert "dataclasses" not in loaded
 
 
 def test_poincare_job_does_not_import_numpy_ma(tmp_path):
