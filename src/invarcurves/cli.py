@@ -14,10 +14,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import elliptic, examples, geometry, lattes, poincare, semiconj
-from .rational import RationalMap, UniformStream, fixed_points
+# lazy stubs: numpy loads with the first of them that a job runs, so the
+# import, --help and every usage error found before it run without numpy
+from . import elliptic, examples, geometry, lattes, poincare, rational, semiconj
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -109,8 +108,9 @@ def _is_file(text):
 
 
 def _map_arg(text):
+    data = _load_json_arg(text)
     try:
-        return RationalMap.from_json_dict(_load_json_arg(text))
+        return rational.RationalMap.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad rational-map JSON: {exc}")
 
@@ -134,16 +134,19 @@ def _json_value(obj):
     """The one JSON rule of the reports: a complex is [re, im], an array its
     nested list (of [re, im] pairs if complex), and any other object its
     to_json_dict() or, for a record, the values of its __slots__."""
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, complex):        # numpy's complex128 is one
+        return [obj.real, obj.imag]
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    if hasattr(obj, "__slots__"):
+        return {name: getattr(obj, name) for name in obj.__slots__}
+    import numpy as np      # what is left is numpy's, so numpy is loaded
+    if isinstance(obj, np.complexfloating):
         return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
             obj = np.stack((obj.real, obj.imag), -1)
         return obj.tolist()
-    if hasattr(obj, "to_json_dict"):
-        return obj.to_json_dict()
-    if hasattr(obj, "__slots__"):
-        return {name: getattr(obj, name) for name in obj.__slots__}
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
@@ -165,7 +168,7 @@ def _write_trace(args, trace, fit=None, fixed_map=None):
     if "csv" in args.format:
         _write(args.out, "trace.csv", trace.to_csv())
     if "svg" in args.format:
-        fps = () if fixed_map is None else [p.location for p in fixed_points(fixed_map)]
+        fps = () if fixed_map is None else [p.location for p in rational.fixed_points(fixed_map)]
         _write(args.out, "trace.svg", geometry.trace_svg(trace, fit, fps))
 
 
@@ -245,7 +248,7 @@ def build_parser(argv=()):
 def cmd_poincare(args):
     f = _map_arg(args.map)
     a = _complex_arg(args.fixed_point)
-    rng = UniformStream(args.seed)      # a negative seed fails before any file is written
+    rng = rational.UniformStream(args.seed)     # a negative seed fails before any file is written
     F = poincare.solve_coefficients(f, a, order=args.order)
     _write(args.out, "coefficients.json", _dump_json({
         "fixed_point": F.fixed_point, "multiplier": F.multiplier,
@@ -265,6 +268,7 @@ def cmd_poincare(args):
     else:
         report["trace"] = None
         report["note"] = "multiplier not real: F(R) is not traced"
+    import numpy as np
     zs = F.eval_radius * 8 * rng.uniform(0.05, 1.0, 100) \
         * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 100))
     report["functional_equation_residual"] = \
@@ -274,8 +278,9 @@ def cmd_poincare(args):
 
 
 def cmd_lattes(args):
+    data = _load_json_arg(args.lattice)
     try:
-        lat = elliptic.Lattice.from_json_dict(_load_json_arg(args.lattice))
+        lat = elliptic.Lattice.from_json_dict(data)
     except (KeyError, TypeError) as exc:
         raise UsageError(f"bad lattice JSON: {exc!r}")
     inv = elliptic.invariants_from_lattice(lat)
@@ -295,7 +300,6 @@ def cmd_lattes(args):
 
 
 def cmd_semiconj(args):
-    tol = args.tol or semiconj.IDENTITY_RESIDUAL_TOL
     if args.verify:
         f, g, h = (_map_arg(t) for t in args.verify[:3])
         try:
@@ -314,6 +318,7 @@ def cmd_semiconj(args):
         provenance = "power-family"
     else:
         raise UsageError("need --u/--v, or --w/--m/--n, or --verify")
+    tol = args.tol or semiconj.IDENTITY_RESIDUAL_TOL
     residual = triple.residual()
     _write(args.out, "triple.json", _dump_json(triple))
     report = {

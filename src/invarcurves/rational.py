@@ -658,14 +658,23 @@ def fixed_points(f):
     """All degree+1 fixed points with multiplicity, classified.
 
     Finite fixed points are the roots of p(z) - z q(z); infinity is fixed
-    exactly when deg p > deg q and carries the remaining multiplicity.
+    exactly when deg p > deg q and carries the remaining multiplicity.  A top
+    coefficient of p - z q is dropped only where p and z q cancel it to
+    rounding, relative to their own terms at that power, so that the count
+    does not depend on the scale of the map.
     """
     if f.degree == 0:
         raise ValueError("constant map")
     if maps_equal(f, RationalMap.identity()):
         raise ValueError("identity map fixes everything")
     p, q = f.num, f.den
-    eqn = (p - Polynomial([0, 1]) * q).trimmed(1e-13)
+    n = max(p.degree + 1, q.degree + 2)
+    pc, zq = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    pc[:p.degree + 1], zq[1:q.degree + 2] = p.coefficients, q.coefficients
+    e = pc - zq
+    while n > 1 and abs(e[n - 1]) <= 1e-13 * (abs(pc[n - 1]) + abs(zq[n - 1])):
+        n -= 1
+    eqn = Polynomial(e[:n])
     infos = []
     if eqn.degree >= 1:
         for root in poly_roots(eqn):

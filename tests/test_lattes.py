@@ -6,7 +6,7 @@ import pytest
 from invarcurves.elliptic import (Lattice, invariants_from_lattice,
                                   square_lattice_with_g2)
 from invarcurves.lattes import lattes_from_invariants, verify_lattes
-from invarcurves.rational import (RationalMap, chordal, coefficient_residual,
+from invarcurves.rational import (REPELLING, RationalMap, chordal, coefficient_residual,
                                   fixed_points, iterate)
 
 from conftest import INF, critical_points, is_infinite, lattes_from_lattice
@@ -103,6 +103,25 @@ class TestDynamicalStructure:
         for lat in LATTICES.values():
             system = lattes_from_lattice(lat)
             assert len(fixed_points(system.map)) == 5
+
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_fixed_points_scale_with_the_lattice(self, k):
+        # wp of the lattice s L at s z is wp of L at z over s^2, so the Lattes
+        # map of s L is that of L conjugated by x -> x / s^2; a power of 2
+        # keeps the scaling itself free of rounding
+        def finite_points(side):
+            system = lattes_from_invariants(invariants_from_lattice(Lattice(side, 1j * side)))
+            infos = fixed_points(system.map)
+            assert all(p.kind == REPELLING for p in infos)
+            assert sum(is_infinite(p.location) for p in infos) == 1
+            return np.array([p.location for p in infos if not is_infinite(p.location)])
+
+        s = 2.0 ** k
+        base, scaled = finite_points(1.0), finite_points(s) * s * s
+        assert len(scaled) == 4
+        rel = np.abs(scaled[:, None] - base[None, :]) / np.abs(base)
+        assert sorted(rel.argmin(axis=1)) == [0, 1, 2, 3]
+        assert rel.min(axis=1).max() <= 1e-14
 
     def test_finite_fixed_points_are_three_torsion_values(self):
         inv = invariants_from_lattice(LATTICES["square"])

@@ -1,4 +1,5 @@
-"""Start-up guards: a cold job runs only the modules its subcommand needs.
+"""Start-up guards: a cold job runs only the modules its subcommand needs,
+and the CLI's front end (import, help, usage errors) none of them, nor numpy.
 
 Each case runs a fresh interpreter, since the test process itself has long
 since loaded every module.  Submodules are registered in sys.modules as
@@ -111,6 +112,41 @@ def test_unused_submodules_stay_stubs(tmp_path, argv, ran):
     assert "numpy.polynomial" not in loaded
     # the report records are __slots__ classes: no code generated at import
     assert "dataclasses" not in loaded
+
+
+# the front end: the import, the parser, --help, and the usage checks that
+# come before a job builds its first map or lattice; argv None is the bare
+# import, the benchmark's set-up line
+@pytest.mark.parametrize("argv, code", [
+    (None, 0),
+    (["--help"], 0),
+    (["poincare", "--help"], 0),
+    ([], 64),
+    (["frobnicate"], 64),
+    (["lattes", "--lattice", LATTICE_JSON, "--frobnicate"], 64),
+    (["poincare", "--map", SQUARE_JSON, "--fixed-point", "0,0", "--order", "0"], 64),
+    (["poincare", "--map", SQUARE_JSON], 64),
+    (["semiconj"], 64),
+    (["lattes", "--lattice", "{not json}"], 64),
+    (["poincare", "--map", "{not json}", "--fixed-point", "0,0"], 64),
+], ids=["import", "help", "poincare-help", "no-words", "unknown-subcommand", "unknown-flag",
+        "order-0", "no-fixed-point", "semiconj-no-mode", "lattice-not-json", "map-not-json"])
+def test_front_end_loads_no_numeric_module(argv, code):
+    assert fresh(f"""
+        import json, sys, types
+        argv = {argv!r}
+        from invarcurves.cli import main
+        code = 0
+        if argv is not None:
+            sys.argv = ["invarcurves", *argv]
+            try:
+                code = main()
+            except SystemExit as exc:   # --help
+                code = exc.code
+        ran = sorted(n.split(".")[1] for n, m in sys.modules.items()
+                     if n.startswith("invarcurves.") and type(m) is types.ModuleType)
+        print(json.dumps([code, "numpy" in sys.modules, ran]))
+    """) == [code, False, ["cli"]]
 
 
 def test_poincare_job_does_not_import_numpy_ma(tmp_path):
