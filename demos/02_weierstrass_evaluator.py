@@ -44,5 +44,5 @@ from invarcurves.elliptic import square_lattice_with_g2
 
 system = lattes_from_invariants(invariants_from_lattice(square_lattice_with_g2(4.0)))
 print("\nduplication map for g2 = 4, g3 = 0 (expect (w^2+1)^2 / (4w(w^2-1))):")
-print("  numerator  ", np.round(system.map.num.coefficients.real, 12))
-print("  denominator", np.round(system.map.den.coefficients.real, 12))
+print("  numerator  ", np.round(np.real(system.map.num.coefficients), 12))
+print("  denominator", np.round(np.real(system.map.den.coefficients), 12))

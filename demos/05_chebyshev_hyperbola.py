@@ -16,7 +16,7 @@ from invarcurves.semiconj import pakovich_example
 
 print("T_n with leading coefficient 2^(n-1):")
 for n in (1, 2, 3, 4):
-    print(f"  T_{n}:", np.round(chebyshev(n).coefficients.real, 10))
+    print(f"  T_{n}:", np.round(np.real(chebyshev(n).coefficients), 10))
 
 print("\ncoefficientwise residual of J o P_n = T_n o J:")
 for n in range(1, 9):

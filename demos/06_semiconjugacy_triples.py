@@ -17,9 +17,9 @@ u = RationalMap([0, 0, 1])        # z^2
 v = RationalMap([1, 1])           # z + 1
 t = make_ritt_triple(u, v)
 print("composition-swap triple from u = z^2, v = z + 1:")
-print("  f =", np.round(t.f.num.coefficients.real, 10), "(num)")
-print("  g =", np.round(t.g.num.coefficients.real, 10), "(num)")
-print("  h =", np.round(t.h.num.coefficients.real, 10), "(num)")
+print("  f =", np.round(np.real(t.f.num.coefficients), 10), "(num)")
+print("  g =", np.round(np.real(t.g.num.coefficients), 10), "(num)")
+print("  h =", np.round(np.real(t.h.num.coefficients), 10), "(num)")
 print("  certification residual:", f"{t.residual():.2e}")
 
 swapped = SemiconjTriple(f=t.g, g=t.f, h=v, n=1)
@@ -28,8 +28,8 @@ print("  swapped-roles triple residual:", f"{swapped.residual():.2e}")
 w = RationalMap([1, 1])
 p = make_power_family(w, m=1, n=2)
 print("\npower family with w = z + 1, m = 1, n = 2:")
-print("  f = z (z+1)^2 ->", np.round(p.f.num.coefficients.real, 10))
-print("  g = z (z^2+1) ->", np.round(p.g.num.coefficients.real, 10))
+print("  f = z (z+1)^2 ->", np.round(np.real(p.f.num.coefficients), 10))
+print("  g = z (z^2+1) ->", np.round(np.real(p.g.num.coefficients), 10))
 print("  residual:", f"{p.residual():.2e}")
 
 bad = SemiconjTriple(f=t.f, g=t.g, h=RationalMap([0, 1, 1]), n=1)

@@ -55,7 +55,8 @@ def solve_coefficients(f, a, order=60):
         raise ValueError("conjugate by 1/z first: the solver needs a finite point")
     if chordal(f(a), a) > 1e-8:
         raise ValueError("not a fixed point within tolerance")
-    lam = multiplier(f, a)
+    # numpy's complex power in lam ** k below: past k = 100, Python's ** rounds otherwise
+    lam = np.complex128(multiplier(f, a))
     if abs(lam) <= 1.0 + TAU_CLASS:
         raise ValueError(f"fixed point is not repelling (|lambda| = {abs(lam):.6g})")
     # |lambda|^k grows with k, so the pivots below stay finite if the last does

@@ -8,8 +8,6 @@ invariant hyperbola illustrates the non-Jordan case.
 import cmath
 import math
 
-import numpy as np
-
 from . import geometry
 from .rational import (DegreeCapExceeded, DEGREE_CAP, Polynomial, RationalMap,
                        chain_identity_residual, chordal_array, coefficient_residual,
@@ -33,7 +31,7 @@ class SemiconjTriple:
 def certify_triple(triple):
     """Max unit-circle deviation between h o g and f^n o h.
 
-    Both sides are composed in extended precision (chains, outermost first):
+    Both sides are composed in double-double (chains, outermost first):
     comparing two independently rounded double compositions would bottom out
     near weak poles well above the certification tolerance.
     n = 0 is the degenerate h o g = h case: accepted, compared literally.
@@ -120,6 +118,7 @@ class HyperbolaExample:
         if abs(math.cos(self.theta)) < 1e-9 or abs(math.sin(self.theta)) < 1e-9:
             raise ValueError("degenerate image: the swept curve is a line, "
                              "not a hyperbola (cos or sin of theta vanishes)")
+        import numpy as np
         pts = self.trace.finite_values
         x = pts.real / math.cos(self.theta)
         y = pts.imag / math.sin(self.theta)
@@ -131,6 +130,7 @@ class HyperbolaExample:
         is real, so f maps the branch into u(R)."""
         if len(self.trace) < 16:
             raise ValueError("trace too coarse for an invariance check")
+        import numpy as np
         with np.errstate(over="ignore"):    # cosh beyond the floats is infinity
             images = self.u.eval_array(np.cosh(self.n * self.trace.params).astype(complex))
         return float(np.max(chordal_array(self.map.eval_array(self.trace.values), images)))
@@ -152,10 +152,10 @@ def pakovich_example(n, n_samples=4001, principal=True):
         theta = -theta
     eps = cmath.exp(1j * theta)
     u = joukowski().precompose_scale(eps)
-    with np.errstate(over="ignore", invalid="ignore"):    # RationalMap checks the result
-        f = compose(u, chebyshev_map(n))
+    f = compose(u, chebyshev_map(n))
     big_r = compose(joukowski(), power_map(n))
     rot = identity_residual(big_r.precompose_scale(eps), big_r)
+    import numpy as np
     ss = np.linspace(-3.0, 3.0, n_samples)
     xs = np.exp(ss)
     values = u.eval_array(xs.astype(complex))

@@ -11,11 +11,12 @@ after `import numpy`, after `import invarcurves.cli` and after main(); the
 parent stamps before the start and after the exit.  On Linux perf_counter
 reads CLOCK_MONOTONIC, which parent and child share, so the differences are
 the five phases: interpreter start, numpy, `import invarcurves.cli`, main
-and exit.  Two rows measure the front end, FRONT_END_RUNS times a round
-each: the benchmark's set-up line (`import invarcurves.cli` alone) and one
-usage-error job; their children do not import numpy first, so whatever
-numpy the CLI loads falls in its import or main column, and a phase they do
-not run reads "-".  Printed per job kind: the median of each phase, in ms,
+and exit.  The children of the job kinds in NUMPY_FREE do not import numpy
+first, since those jobs run without it, and so do those of two rows that
+measure the front end, FRONT_END_RUNS times a round each: the benchmark's
+set-up line (`import invarcurves.cli` alone) and one usage-error job.
+Whatever numpy such a child loads falls in its import or main column, and a
+phase it does not run reads "-".  Printed per job kind: the median of each phase, in ms,
 one table per --src.  Several sources alternate job by job, so that the
 drift of a shared machine falls on all of them alike.  Not part of the test
 suite: it measures, it asserts nothing.
@@ -41,12 +42,15 @@ PHASES = ("interpreter start", "numpy", "import invarcurves.cli", "main", "exit"
 STEPS = {"numpy": "import numpy", "import invarcurves.cli": "from invarcurves.cli import main",
          "main": "code = main()"}
 # (kind, argv, the child's phases) of the front-end rows; a computing job runs
-# all three.  The usage error is argparse's: --order must be positive.
+# all three, or the last two if its kind is in NUMPY_FREE.  The usage error
+# is argparse's: --order must be positive.
 USAGE_ARGV = ["poincare", "--map", '{"num": [[0, 0], [0, 0], [1, 0]], "den": [[1, 0]]}',
               "--fixed-point", "1,0", "--order", "0"]
 FRONT_END = (("set-up line", None, ("import invarcurves.cli",)),
              ("usage error", USAGE_ARGV, ("import invarcurves.cli", "main")))
 FRONT_END_RUNS = 20
+# the job kinds that run to their exit without numpy
+NUMPY_FREE = ("semiconj", "verify")
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -84,7 +88,8 @@ def main(argv=None):
     args = p.parse_args(argv)
     sources = args.src or [ROOT / "src"]
     jobs = [kind for kind in FRONT_END for _ in range(FRONT_END_RUNS)] \
-        + [(job.kind, job.argv, tuple(STEPS))
+        + [(job.kind, job.argv,
+            tuple(s for s in STEPS if s != "numpy" or job.kind not in NUMPY_FREE))
            for w in workloads.WORKLOADS for job in workloads.make_jobs(w, 71)]
     times = [{} for _ in sources]
     for _ in range(args.rounds):

@@ -131,6 +131,19 @@ class TestPoincareCommand:
         assert capsys.readouterr().err == "precondition failed: expected non-negative integer\n"
         assert not out.exists()
 
+    def test_subnormal_coefficient_is_a_clean_job(self, tmp_path):
+        # 2z + 1e-320 z^2 fixes 0 and a point at -1e320, beyond the floats,
+        # which is infinity; its monic form and companion matrix overflowed
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["poincare", "--map",
+                        json.dumps({"num": [[0, 0], [2, 0], [1e-320, 0]], "den": [[1, 0]]}),
+                        "--fixed-point=0,0", "--order", "20", "--samples", "64",
+                        "--out", str(out)]) == 0
+        assert read_json(out / "coefficients.json")["multiplier"] == [2.0, 0.0]
+        assert read_json(out / "report.json")["injective_at_resolution"] is True
+
 
 class TestLattesCommand:
     def test_square_lattice_certifies(self, tmp_path):

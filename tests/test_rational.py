@@ -74,8 +74,9 @@ def edge_mixed(rng, n, share):
 
 
 class TestPolynomialHelpersMatchNumpy:
-    """polyval, polyder and poly_divmod repeat numpy.polynomial's arithmetic
-    step for step, so they give its values to the bit."""
+    """polyval and polyder repeat numpy.polynomial's arithmetic step for
+    step, so they give its values to the bit; poly_divmod repeats polydiv's
+    steps on Python complex, whose products numpy's array loops may fuse."""
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9),
            form=st.sampled_from(["python", "numpy scalar", "0-d", "1-d", "list"]),
@@ -110,7 +111,13 @@ class TestPolynomialHelpersMatchNumpy:
            deg_q=st.integers(-2, 4), exact=st.booleans())
     def test_poly_divmod(self, seed, deg_b, deg_q, exact):
         # exact: integer a = b q + r with deg r <= deg b - 2, so the
-        # remainder's leading coefficients cancel to zero and are trimmed
+        # remainder's leading coefficients cancel to zero and are trimmed;
+        # real data, so no product is fused and polydiv's bits are ours.
+        # Random complex data: polydiv's array products may use FMA, so a
+        # platform-free poly_divmod is held to the exact quotient and
+        # remainder instead (mpmath at 60 digits), backward:
+        # |(q - q*) b + (r - r*)| = |q b + r - a| within 8 ulps of the
+        # largest coefficient of |q| |b| + |r|
         rng = np.random.default_rng(seed)
         draw = (lambda k: rng.integers(-9, 10, size=k).astype(complex)) if exact \
             else (lambda k: rng.normal(size=k) + 1j * rng.normal(size=k))
@@ -122,11 +129,37 @@ class TestPolynomialHelpersMatchNumpy:
             a = np.convolve(b, draw(deg_q + 1))
             r = draw(max(deg_b - 1, 1))
             a[:len(r)] += r if deg_b >= 2 else 0
-        qa, ra = poly_divmod(Polynomial(a), Polynomial(b))
-        with np.errstate(all="ignore"):
-            qn, rn = npoly.polydiv(Polynomial(a).coefficients, Polynomial(b).coefficients)
-        assert same_values(qa.coefficients, Polynomial(qn).coefficients)
-        assert same_values(ra.coefficients, Polynomial(rn).coefficients)
+        pa, pb = Polynomial(a), Polynomial(b)
+        qa, ra = poly_divmod(pa, pb)
+        if exact:
+            with np.errstate(all="ignore"):
+                qn, rn = npoly.polydiv(pa.coefficients, pb.coefficients)
+            assert same_values(qa.coefficients, Polynomial(qn).coefficients)
+            assert same_values(ra.coefficients, Polynomial(rn).coefficients)
+            return
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            # a = q b + r exactly: q by long division, r = a - q b
+            rx = [mpmath.mpc(x) for x in pa.coefficients]
+            d = [mpmath.mpc(x) for x in pb.coefficients]
+            qx = [mpmath.mpc(0)] * max(len(rx) - len(d) + 1, 1)
+            for i in range(len(rx) - len(d), -1, -1):
+                qx[i] = rx[i + len(d) - 1] / d[-1]
+                for k in range(len(d)):
+                    rx[i + k] -= qx[i] * d[k]
+            q = qa.coefficients + [0j] * (len(qx) - len(qa.coefficients))
+            r = ra.coefficients + [0j] * (len(rx) - len(ra.coefficients))
+            n = max(len(rx), len(q) + pb.degree)
+            err, scale = [mpmath.mpc(0)] * n, [0.0] * n
+            for i, (qi, qxi) in enumerate(zip(q, qx)):
+                for j, bj in enumerate(pb.coefficients):
+                    err[i + j] += (qi - qxi) * bj
+                    scale[i + j] += abs(qi) * abs(bj)
+            for k, (rk, rxk) in enumerate(zip(r, rx)):
+                err[k] += rk - rxk
+                scale[k] += abs(rk)
+            assert len(ra.coefficients) <= max(pb.degree, 1)
+            assert max(float(abs(e)) for e in err) <= 8 * 2.0 ** -53 * max(scale)
 
 
 class TestEval:
@@ -281,6 +314,27 @@ class TestCompose:
                 RationalMap([1e308], [1e-308])
 
 
+class TestProduct:
+    @pytest.mark.parametrize("extra", [0, 1], ids=["python", "numpy"])
+    def test_exact_on_both_sides_of_the_array_degree(self, extra):
+        # Gaussian integers below 10: every product and sum is exact, in the
+        # Python loop at degree ARRAY_PRODUCT_DEGREE and in numpy's
+        # convolution one degree above
+        rng = np.random.default_rng(11)
+        da = rational.ARRAY_PRODUCT_DEGREE // 2
+        db = rational.ARRAY_PRODUCT_DEGREE - da + extra
+        a, b = ([(int(x), int(y)) for x, y in rng.integers(1, 10, size=(d + 1, 2))]
+                for d in (da, db))
+        want = [[0, 0] for _ in range(da + db + 1)]
+        for i, (ar, ai) in enumerate(a):
+            for j, (br, bi) in enumerate(b):
+                want[i + j][0] += ar * br - ai * bi
+                want[i + j][1] += ar * bi + ai * br
+        product = Polynomial([complex(*x) for x in a]) * Polynomial([complex(*y) for y in b])
+        assert product.degree == rational.ARRAY_PRODUCT_DEGREE + extra
+        assert product.coefficients == [complex(re, im) for re, im in want]
+
+
 class TestPower:
     def test_power_is_repeated_product(self, rng):
         for n in range(5):
@@ -433,6 +487,15 @@ class TestFixedPoints:
         finite = [fp.location for fp in fps if not is_infinite(fp.location)]
         assert len(finite) == 2
         assert max(abs(a - 1) for a in finite) <= 1e-6
+
+    def test_root_beyond_the_floats_is_infinity(self):
+        # z + 1e-320 z^2 vanishes at 0 and at -1e320, beyond the floats: the
+        # companion matrix of the untrimmed equation overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fps = fixed_points(RationalMap([0, 2, 1e-320]))
+        assert [fp.location for fp in fps] == [0, INF, INF]
+        assert fps[0].multiplier == 2 and fps[0].kind == REPELLING
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from invarcurves import curves
+from invarcurves import curves, rational
 from invarcurves.rational import (DEGREE_CAP, DegreeCapExceeded, Polynomial, RationalMap,
                                   coefficient_residual, compose, embed_points, maps_equal)
 from invarcurves.semiconj import (SemiconjTriple, certify_triple, chebyshev,
@@ -80,28 +81,64 @@ class TestPowerFamily:
         assert t.residual() <= 1e-12
 
 
-def criterion_8_triples():
-    """The 120 certificates of acceptance criterion 8, drawn the same way."""
-    rng = np.random.default_rng(808)
-    for _ in range(50):
-        u = random_rational_map(rng, int(rng.integers(1, 4)))
-        v = random_rational_map(rng, int(rng.integers(1, 4)))
-        t = make_ritt_triple(u, v)
-        yield t
-        yield SemiconjTriple(f=t.g, g=t.f, h=v, n=1)
-    for _ in range(20):
-        w = random_rational_map(rng, int(rng.integers(1, 4)))
-        yield make_power_family(w, int(rng.integers(0, 3)), int(rng.integers(1, 4)))
+@functools.cache
+def criterion_8_certificates():
+    """The 120 triples of acceptance criterion 8, drawn the same way, each
+    with its certified residual."""
+    def triples():
+        rng = np.random.default_rng(808)
+        for _ in range(50):
+            u = random_rational_map(rng, int(rng.integers(1, 4)))
+            v = random_rational_map(rng, int(rng.integers(1, 4)))
+            t = make_ritt_triple(u, v)
+            yield t
+            yield SemiconjTriple(f=t.g, g=t.f, h=v, n=1)
+        for _ in range(20):
+            w = random_rational_map(rng, int(rng.integers(1, 4)))
+            yield make_power_family(w, int(rng.integers(0, 3)), int(rng.integers(1, 4)))
+    return [(t, certify_triple(t)) for t in triples()]
 
 
 class TestCertifyOracle:
     def test_matches_mpmath_on_criterion_8(self):
-        count = 0
-        for t in criterion_8_triples():
+        for t, residual in criterion_8_certificates():
             oracle = mp_chain_identity_residual([t.h, t.g], [t.f] * t.n + [t.h])
-            assert abs(certify_triple(t) - oracle) <= 1e-15
-            count += 1
-        assert count == 120
+            assert abs(residual - oracle) <= 1e-15
+        assert len(criterion_8_certificates()) == 120
+
+    def test_floats_and_arrays_agree_on_criterion_8(self):
+        # one evaluator, on Python floats point by point and on numpy arrays:
+        # the same +, - and * in the same order, so the same bits
+        for t, residual in criterion_8_certificates():
+            chains = ([t.h, t.g], [t.f] * t.n + [t.h])
+            zs = rational._sample(chains)
+            assert len(zs) * sum(f.degree for chain in chains for f in chain) \
+                <= rational.ARRAY_WORK                   # so it was certified on floats
+            assert residual == rational._chain_residual(chains, zs, True)
+
+    def test_floats_and_arrays_agree_above_the_crossover(self):
+        rng = np.random.default_rng(8)
+        t = make_ritt_triple(random_rational_map(rng, 4), random_rational_map(rng, 6))
+        chains = ([t.h, t.g], [t.f, t.h])
+        zs = rational._sample(chains)
+        assert len(zs) * sum(f.degree for chain in chains for f in chain) > rational.ARRAY_WORK
+        arrays = certify_triple(t)
+        assert arrays == rational._chain_residual(chains, zs, False) <= 1e-12
+
+    def test_huge_coefficient_certifies_exactly(self):
+        # both sides are 1e200 z^2, a power of two apart after each map;
+        # unscaled, |p|^2 + |q|^2 = 1e400 would overflow the doubles
+        ident = RationalMap.identity()
+        t = SemiconjTriple(f=ident, g=ident, h=RationalMap([0, 0, 1e200]), n=1)
+        assert certify_triple(t) == 0.0
+
+    def test_degree_1100_after_a_rescale(self):
+        # (z, 1) comes out of the identity with its largest part scaled to
+        # 1/2; the 1100th power of a half is below the doubles, unless the
+        # rescale brings the larger modulus up to 1 (a few points suffice)
+        h, ident = RationalMap(Polynomial.monomial(1100)), RationalMap.identity()
+        chains = ([h, ident], [ident, h])
+        assert rational._chain_residual(chains, rational._sample(chains)[::400], False) == 0.0
 
     def test_perturbed_triple_matches_oracle(self):
         t = make_ritt_triple(RationalMap([0, 0, 1]), RationalMap([1, 1]))

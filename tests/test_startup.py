@@ -58,15 +58,25 @@ PUBLIC = {
 AVOIDABLE = ("dataclasses", "fractions", "numpy.ma", "numpy.polynomial", "numpy.random")
 
 
+def start(script):
+    """A new interpreter with src/ on the path, running script."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def last_line(child):
+    """The last stdout line of a started interpreter, as JSON."""
+    out, err = child.communicate()
+    assert child.returncode == 0, err
+    return json.loads(out.splitlines()[-1])
+
+
 def fresh(script):
     """Run script in a new interpreter with src/ on the path; its last
     stdout line, as JSON."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return last_line(start(script))
 
 
 def after_job(argv, tmp_path):
@@ -112,6 +122,36 @@ def test_unused_submodules_stay_stubs(tmp_path, argv, ran):
     assert "numpy.polynomial" not in loaded
     # the report records are __slots__ classes: no code generated at import
     assert "dataclasses" not in loaded
+
+
+def benchmark_jobs(workload, seed):
+    """The argv of each job of a benchmark job list, as the output manifest
+    records it (read here, so that this process imports no perfbench)."""
+    manifest = json.loads((Path(__file__).parent / "output_manifest.json").read_text())
+    return [job["argv"] for job in manifest["jobs"]
+            if job["workload"] == workload and job["seed"] == seed]
+
+
+def test_semiconjugacy_jobs_load_no_numpy(tmp_path):
+    # every semiconj and verify job of a list, one after another in one
+    # fresh interpreter (the seed-71 and seed-5 lists side by side): a module
+    # once imported stays in sys.modules, so the check after each job names
+    # the first job that imports it; then example 3, which draws its
+    # hyperbola with numpy
+    lists = [benchmark_jobs("semiconjugacies", seed) for seed in (71, 5)]
+    runs = [[argv for argv in jobs if argv[0] == "semiconj"] for jobs in lists]
+    assert [len(argvs) for argvs in runs] == [36, 36]
+    runs[1].append(next(argv for argv in lists[1] if argv[:2] == ["example", "3"]))
+    children = [start(f"""
+        import json, sys
+        from invarcurves.cli import main
+        loaded = []
+        for argv in {argvs!r}:
+            main(argv + ["--out", {str(tmp_path / f"out{i}")!r}])
+            loaded.append([name for name in ("numpy", "fractions") if name in sys.modules])
+        print(json.dumps(loaded))
+    """) for i, argvs in enumerate(runs)]
+    assert [last_line(child) for child in children] == [[[]] * 36, [[]] * 36 + [["numpy"]]]
 
 
 # the front end: the import, the parser, --help, and the usage checks that
