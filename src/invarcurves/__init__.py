@@ -30,6 +30,7 @@ _EXPORTS = {
                "circle_fit", "algebraic_fit", "transcendence_scan",
                "lattice_commensurability", "example1_xy_check"),
     "examples": (),
+    "draws": (),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_OWNER)

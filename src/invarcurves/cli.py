@@ -16,7 +16,7 @@ from pathlib import Path
 
 # lazy stubs: numpy loads with the first of them that a job runs, so the
 # import, --help and every usage error found before it run without numpy
-from . import elliptic, examples, geometry, lattes, poincare, rational, semiconj
+from . import draws, elliptic, examples, geometry, lattes, poincare, rational, semiconj
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -248,7 +248,7 @@ def build_parser(argv=()):
 def cmd_poincare(args):
     f = _map_arg(args.map)
     a = _complex_arg(args.fixed_point)
-    rng = rational.UniformStream(args.seed)     # a negative seed fails before any file is written
+    rng = draws.UniformStream(args.seed)     # a negative seed fails before any file is written
     F = poincare.solve_coefficients(f, a, order=args.order)
     _write(args.out, "coefficients.json", _dump_json({
         "fixed_point": F.fixed_point, "multiplier": F.multiplier,

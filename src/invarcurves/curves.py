@@ -12,8 +12,9 @@ import math
 import numpy as np
 
 from . import elliptic
+from .draws import UniformStream
 from .geometry import CurveTrace, points_to_polyline_distance, trace_svg  # tracer targets
-from .rational import UniformStream, chordal_array, embed_points
+from .rational import chordal_array, embed_points
 
 CIRCLE_CLASS_TOL = 1e-8   # relative residual below which a trace is a circle/line
 

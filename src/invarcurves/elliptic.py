@@ -9,15 +9,14 @@ Evaluation of wp anywhere: reduce to the fundamental cell, then climb as a
 linearizer with multiplier 2 does, since wp(2z) = f(wp(z)): halve into the
 disc where the Laurent series is accurate and push back through the degree-4
 duplication map f, with the linearizer's pull-back, push-forward and rule for
-infinity (rational.py).
+infinity (rational.py).  A scalar climbs on Python complex, an array on
+numpy, which only the array kernels import.
 """
 
 import cmath
 import math
 
-import numpy as np
-
-from .rational import _INF, RationalMap, polyval, pull_back, push_forward
+from .rational import _INF, RationalMap, _modulus, _quotient, polyval, pull_back, push_forward
 
 ZETA4 = math.pi ** 4 / 90.0
 ZETA6 = math.pi ** 6 / 945.0
@@ -51,11 +50,13 @@ class Lattice:
         self.g2 = g2
 
     def basis_matrix(self):
+        import numpy as np
         return np.array([[self.g1.real, self.g2.real],
                          [self.g1.imag, self.g2.imag]])
 
     def coordinates(self, z):
         """Real coordinates (x, y) with z = x*g1 + y*g2, elementwise."""
+        import numpy as np
         z = np.asarray(z, dtype=complex)
         m = self.basis_matrix()
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
@@ -94,9 +95,19 @@ class Lattice:
         return f"Lattice(g1={self.g1!r}, g2={self.g2!r})"
 
 
+def _ldexp(x, n):
+    """x 2^n, inf where it leaves the float range (wp of a tiny lattice), as
+    numpy's ldexp has it."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def reduce_to_fundamental(lattice, z):
     """Representative of z in the centered cell (coordinates in [-1/2, 1/2)),
     elementwise."""
+    import numpy as np
     x, y = lattice.coordinates(z)
     x = x - np.floor(x + 0.5)
     y = y - np.floor(y + 0.5)
@@ -129,16 +140,17 @@ def _row_sums(tau):
 def laurent_coefficients(g2, g3):
     """Coefficients c_2..c_LAURENT_ORDER of wp(z) = z^-2 + sum c_k z^(2k-2).
 
-    c_2 = g2/20, c_3 = g3/28, and the classical quadratic recursion above.
+    c_2 = g2/20, c_3 = g3/28, and the classical quadratic recursion above;
+    a list of Python complex, c_0 = c_1 = 0, each divided as numpy divides.
     """
-    c = np.zeros(LAURENT_ORDER + 1, dtype=complex)
+    c = [0j] * (LAURENT_ORDER + 1)
     c[2] = g2 / 20.0
     c[3] = g3 / 28.0
     for k in range(4, LAURENT_ORDER + 1):
         acc = 0j
         for m in range(2, k - 1):
             acc += c[m] * c[k - m]
-        c[k] = 3.0 * acc / ((2 * k + 1) * (k - 3))
+        c[k] = _quotient(3.0 * acc, complex((2 * k + 1) * (k - 3)))
     return c
 
 
@@ -162,7 +174,7 @@ class EllipticInvariants:
     """
 
     __slots__ = ("lattice", "g2", "g3", "duplication", "base_radius",
-                 "_exponent", "_cell", "_laurent", "_duplication_map")
+                 "_exponent", "_cell", "_laurent", "_duplication_map", "_frame")
 
     def __init__(self, lattice, g2, g3):
         self.lattice = lattice
@@ -183,6 +195,16 @@ class EllipticInvariants:
         self._duplication_map = RationalMap(*_duplication_coefficients(g2f, g3f), reduce=False)
         self.duplication = _duplication_coefficients(self.g2, self.g3)
         self.base_radius = shortest / 4.0
+        # the scalar climb's constants, as the array kernel has them: the
+        # factor 2^-e into the frame, the cell's generators, basis matrix
+        # (a, b; c, d) and determinant, the Laurent data from the top down,
+        # the largest modulus taken for a lattice point and the radius of
+        # the Laurent disc
+        g1, g2 = self._cell.g1, self._cell.g2
+        a, b, c, d = g1.real, g2.real, g1.imag, g2.imag
+        shortest = math.ldexp(4.0 * self.base_radius, -e)
+        self._frame = (math.ldexp(1.0, -e), g1, g2, a, b, c, d, a * d - b * c,
+                       self._laurent[:1:-1], 1e-14 * shortest, shortest / 4.0)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -192,16 +214,21 @@ class EllipticInvariants:
         cell, pull each point back by 2 into the disc |z| <= shortest/4
         where the Laurent series is accurate, push it forward through the
         duplication map f (the linearizer's climb and rule for infinity,
-        rational.pull_back and push_forward), and scale back by 2^-2e."""
+        rational.pull_back and push_forward), and scale back by 2^-2e.
+        A Python number climbs on Python complex (_wp_point), to within a
+        few ulps of the array kernel and to the same lattice points."""
+        if isinstance(z, (int, float, complex)):
+            return self._wp_point(complex(z))
+        import numpy as np
         z = np.asarray(z, dtype=complex)
         shape, z = z.shape, z.ravel()
         e = self._exponent
         out = np.full(len(z), _INF)
         z = reduce_to_fundamental(self._cell, z * math.ldexp(1.0, -e))
-        shortest = math.ldexp(4.0 * self.base_radius, -e)
-        live = np.flatnonzero(np.abs(z) > 1e-14 * shortest)
+        tiny, radius = self._frame[-2:]
+        live = np.flatnonzero(np.abs(z) > tiny)
         # division by 2 is exact: the pulled-back points carry no rounding
-        z, depth = pull_back(z[live], 2.0, shortest / 4.0, MAX_HALVINGS)
+        z, depth = pull_back(z[live], 2.0, radius, MAX_HALVINGS)
         u = z * z
         # the sums stay the left factor: numpy may fuse a complex product's
         # multiply-add, which then rounds differently with the operands swapped
@@ -211,6 +238,37 @@ class EllipticInvariants:
             out.real[live] = np.ldexp(w.real, -2 * e)
             out.imag[live] = np.ldexp(w.imag, -2 * e)
         return out.reshape(shape) if shape else complex(out[0])
+
+    def _wp_point(self, z):
+        """wp at one point: the array kernel's steps on Python complex."""
+        scale, g1, g2, a, b, c, d, det, laurent, tiny, radius = self._frame
+        z *= scale
+        x = (d * z.real - b * z.imag) / det
+        y = (-c * z.real + a * z.imag) / det
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return _INF
+        z = (x - math.floor(x + 0.5)) * g1 + (y - math.floor(y + 0.5)) * g2
+        r = _modulus(z)
+        if not r > tiny:
+            return _INF
+        start, depth = z, 0
+        while r > radius:
+            if depth == MAX_HALVINGS:
+                raise ArithmeticError(f"z = {start:.6g} needs more than {MAX_HALVINGS} "
+                                      f"pull-back steps (|mu| = 2)")
+            z *= 0.5
+            depth += 1
+            r = abs(z)
+        u = z * z
+        w = 0j
+        for ck in laurent:
+            w = ck + w * u
+        w = 1.0 / u + w * u
+        f = self._duplication_map
+        for _ in range(depth):
+            w = f(w)
+        e = -2 * self._exponent
+        return complex(_ldexp(w.real, e), _ldexp(w.imag, e))
 
     def to_json_dict(self):
         return {"lattice": self.lattice, "g2": self.g2, "g3": self.g3}

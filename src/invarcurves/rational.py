@@ -7,13 +7,15 @@ equality of maps is tested by evaluation on the unit circle, common factors
 are removed by an approximate Euclidean algorithm, and roots carry a
 residual bound.
 
-The map algebra and the chain certifier run without numpy; the array
-kernels (evaluation on the sphere, the climb, roots, seeded draws) import it
-in their own bodies.
+The map algebra, the chain certifier, one-point evaluation and the chordal
+distance run without numpy; the array kernels (evaluation on the sphere,
+the climb, roots) import it in their own bodies.  The seeded draws are in
+draws.py, which the jobs that draw load.
 """
 
 import math
 import operator
+import sys
 from itertools import repeat
 
 TAU_GCD = 1e-10      # relative tolerance for approximate common factors
@@ -45,9 +47,28 @@ class RootConvergenceError(ArithmeticError):
 # every value that is not finite or exceeds _HUGE in modulus
 # ---------------------------------------------------------------------------
 
+def _modulus(z):
+    """|z| of a complex z; inf where it leaves the floats, nan at a nan."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _embed(z):
+    """The sphere point of one complex, embed_points' arithmetic on floats."""
+    n = _modulus(z)
+    if not n <= _HUGE:
+        return 0.0, 0.0, 1.0
+    n *= n
+    return 2 * z.real / (n + 1), 2 * z.imag / (n + 1), (n - 1) / (n + 1)
+
+
 def chordal(a, b):
-    """Chordal distance on the Riemann sphere (symmetric, <= 2)."""
-    return float(chordal_array(a, b))
+    """Chordal distance on the Riemann sphere (symmetric, <= 2) between two
+    points: chordal_array's arithmetic one point at a time, on floats."""
+    (x, y, z), (u, v, w) = _embed(complex(a)), _embed(complex(b))
+    return math.sqrt((x - u) * (x - u) + (y - v) * (y - v) + (z - w) * (z - w))
 
 
 def embed_points(values):
@@ -276,93 +297,6 @@ def poly_divmod(a, b):
     return Polynomial._of([_quotient(x, scl) for x in r[j + 1:]]), Polynomial._of(r[:j + 1])
 
 
-# ---------------------------------------------------------------------------
-# Seeded samples: np.random.default_rng(seed).uniform, value for value, so
-# that a cold job need not import numpy.random
-# ---------------------------------------------------------------------------
-
-_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
-
-
-def _seed_hash(const, mult):
-    """SeedSequence's hashmix: each call hashes a 32-bit word with the next
-    hash constant."""
-    def hashmix(v):
-        nonlocal const
-        v ^= const
-        const = const * mult & _M32
-        v = v * const & _M32
-        return v ^ v >> 16
-    return hashmix
-
-
-def _affine128(hi, lo, a, c):
-    """(a s + c) mod 2**128 for the states s = hi 2**64 + lo of uint64 arrays."""
-    a1, a0, l1, l0 = a >> 32 & _M32, a & _M32, lo >> 32, lo & _M32
-    # the high word of the 128-bit product lo (a mod 2**64), from 32-bit parts
-    p01, p10 = l0 * a1, l1 * a0
-    mid = (l0 * a0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    hi = (l1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-          + lo * (a >> 64) + hi * (a & _M64))
-    lo = lo * (a & _M64) + (c & _M64)
-    return hi + (lo < (c & _M64)) + (c >> 64), lo
-
-
-class UniformStream:
-    """The draws of np.random.default_rng(seed).uniform, call after call:
-    SeedSequence's mixing of the seed's 32-bit words seeds PCG64 (a 128-bit
-    LCG with XSL-RR output x), and a draw is low + (high - low) (x >> 11) 2**-53.
-    A call builds its states by jumps, s[k + m] = A_m s[k] + C_m mod 2**128."""
-
-    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-    def __init__(self, seed):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError("expected non-negative integer")
-        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-        hashmix = _seed_hash(0x43B0D7E5, 0x931E8875)
-        pool = [hashmix(v) for v in (words + [0] * 4)[:4]]
-
-        def mix(dst, v):
-            r = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(v)) & _M32
-            pool[dst] = r ^ r >> 16
-        for src in range(4):                # every pool word into every other
-            for dst in range(4):
-                if src != dst:
-                    mix(dst, pool[src])
-        for v in words[4:]:                 # then each word beyond the pool
-            for dst in range(4):
-                mix(dst, v)
-        # generate_state(4, np.uint64): the LCG's seed and stream, 32 bits at a time
-        w = list(map(_seed_hash(0x8B51F9DD, 0x58F38DED), pool * 2))
-        self._inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
-        s = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-        self._state = ((self._inc + s) * self._MULT + self._inc) & _M128
-
-    def uniform(self, low, high, size):
-        import numpy as np
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        n = math.prod(shape)
-        out, a, c = np.empty(n), self._MULT, self._inc
-        s = (a * self._state + c) & _M128
-        hi, lo = np.array([s >> 64], dtype=np.uint64), np.array([s & _M64], dtype=np.uint64)
-        # one block of states by doubling, (a, c) stepping by its length; then
-        # a block at a time, in cache
-        while len(hi) < min(n, 8192):
-            hi, lo = map(np.concatenate, zip((hi, lo), _affine128(hi, lo, a, c)))
-            a, c = a * a & _M128, (a * c + c) & _M128
-        for j in range(0, n, len(hi)):
-            if j:
-                hi, lo = _affine128(hi, lo, a, c)
-            k = min(len(hi), n - j)         # the draws this block gives
-            x, rot = hi[:k] ^ lo[:k], hi[:k] >> 58
-            x = x >> rot | x << (64 - rot & 63)
-            out[j:j + k] = low + (high - low) * ((x >> 11) * 2.0 ** -53)
-            self._state = int(hi[k - 1]) << 64 | int(lo[k - 1])
-        return out.reshape(shape)
-
-
 def approx_gcd(p, q):
     """Approximate monic GCD by the Euclidean algorithm with a relative
     zero test on remainders; returns 1 when no convincing factor exists."""
@@ -466,13 +400,40 @@ class RationalMap:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, z):
-        """Evaluate on the sphere; total (poles and infinity included), a
-        complex that is complex inf at infinity."""
-        return complex(self.eval_array(z)[()])
+        """Evaluate at one point of the sphere: eval_array's charts and rule
+        for infinity on Python complex, a complex that is complex inf at
+        infinity.  Its values round apart from the array's in the last bits
+        (numpy may fuse a complex product's multiply-add), never in which
+        points are poles or infinite."""
+        z = complex(z)
+        num, den = self.num.coefficients, self.den.coefficients
+        k, mag = len(num) - len(den), _modulus(z)
+        if not mag <= _HUGE:
+            v = _INF if k > 0 else (0j if k < 0 else _quotient(num[-1], den[-1]))
+            return v if _modulus(v) <= _HUGE else _INF
+        # polyval's Horner steps at z, or at w = 1/z on the reversed coefficients
+        outer = mag > 1.0
+        w, num, den = (1.0 / z, num, den) if outer else (z, reversed(num), reversed(den))
+        p = q = 0j
+        for c in num:
+            p = c + p * w
+        for c in den:
+            q = c + q * w
+        if q == 0:
+            return _INF
+        v = p / q
+        if outer:
+            if v == 0:
+                return 0j
+            try:
+                v *= z ** k
+            except OverflowError:
+                return _INF
+        return v if _modulus(v) <= _HUGE else _INF
 
     def eval_array(self, z):
         """Vectorized evaluation on the sphere; total (poles and infinity
-        included).  __call__ is this kernel on one point.
+        included).  __call__ is this kernel one point at a time.
 
         Input entries that are not finite or exceed _HUGE in modulus are the
         point at infinity.  Poles, overflow and moduli beyond _HUGE come out
@@ -518,11 +479,16 @@ class RationalMap:
         return RationalMap(self.num ** n, self.den ** n, reduce=False)
 
     def derivative_at(self, z):
-        """f'(z) at finite z, by the quotient rule (no map construction)."""
+        """f'(z) at finite z, by the quotient rule (no map construction);
+        where q(z)^2 leaves the floats, by dividing by q(z) twice, in
+        Python's division, whose operands are not rescaled by a reciprocal."""
         z = complex(z)
         p, q = self.num, self.den
         qz = q(z)
-        return _quotient(p.derivative()(z) * qz - p(z) * q.derivative()(z), qz * qz)
+        top, q2 = p.derivative()(z) * qz - p(z) * q.derivative()(z), qz * qz
+        if qz and not (q2 and math.isfinite(q2.real) and math.isfinite(q2.imag)):
+            return top / qz / qz
+        return _quotient(top, q2)
 
     def conjugate_by_inversion(self):
         """The map w -> 1/f(1/w) (conjugation moving infinity to 0)."""
@@ -637,7 +603,8 @@ _SPLIT = 134217729.0     # 2^27 + 1: Dekker's splitting constant
 # rather than one point at a time on floats: the crossover of a cold job, in
 # which numpy's import (about 55 ms) is the arrays' main cost.  Cold
 # `semiconj --u --v` jobs of degrees 4 and 5 (165 points, 48 steps: 7,920)
-# took 130 ms either way, on 2 cores with Python 3.11 and numpy 2.4.
+# took 130 ms either way, on 2 cores with Python 3.11 and numpy 2.4.  Once
+# numpy is loaded the arrays are the cheaper driver at any size.
 ARRAY_WORK = 8000
 
 
@@ -847,12 +814,13 @@ def chain_identity_residual(left_chain, right_chain):
     two independently rounded double compositions would bottom out near weak
     poles far above the certification tolerance.  The arithmetic is IEEE
     double +, - and * with a final / and sqrt, so the residual has the same
-    bits on every platform, on floats or on arrays.
+    bits on every platform, on floats or on arrays, so the arrays run it
+    whenever numpy is already loaded or the work passes ARRAY_WORK.
     """
     chains = (left_chain, right_chain)
     zs = _sample(chains)
     steps = sum(f.degree for chain in chains for f in chain)
-    return _chain_residual(chains, zs, len(zs) * steps > ARRAY_WORK)
+    return _chain_residual(chains, zs, "numpy" in sys.modules or len(zs) * steps > ARRAY_WORK)
 
 
 def identity_residual(f, g):
@@ -929,15 +897,15 @@ def fixed_points(f):
     """
     if f.degree == 0:
         raise ValueError("constant map")
-    if maps_equal(f, RationalMap.identity()):
-        raise ValueError("identity map fixes everything")
     p, q = f.num, f.den
     n = max(p.degree + 1, q.degree + 2)
     pc = p.coefficients + [0j] * (n - p.degree - 1)
     zq = [0j] + q.coefficients + [0j] * (n - q.degree - 2)
     e = list(map(operator.sub, pc, zq))
-    while n > 1 and (abs(e[n - 1]) <= 1e-13 * (abs(pc[n - 1]) + abs(zq[n - 1]))
-                     or _root_beyond_huge(e[:n])):
+    cancels = [abs(x) <= 1e-13 * (abs(a) + abs(b)) for x, a, b in zip(e, pc, zq)]
+    if all(cancels):
+        raise ValueError("identity map fixes everything")
+    while n > 1 and (cancels[n - 1] or _root_beyond_huge(e[:n])):
         n -= 1
     eqn = Polynomial(e[:n])
     infos = []

@@ -50,7 +50,7 @@ FRONT_END = (("set-up line", None, ("import invarcurves.cli",)),
              ("usage error", USAGE_ARGV, ("import invarcurves.cli", "main")))
 FRONT_END_RUNS = 20
 # the job kinds that run to their exit without numpy
-NUMPY_FREE = ("semiconj", "verify")
+NUMPY_FREE = ("lattes", "semiconj", "verify")
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invarcurves.elliptic import (
-    MAX_HALVINGS, EllipticInvariants, Lattice, invariants_from_lattice,
+    MAX_HALVINGS, EllipticInvariants, Lattice, _ldexp, invariants_from_lattice,
     laurent_coefficients, reduce_to_fundamental, square_lattice_with_g2)
 from invarcurves.rational import chordal
 
@@ -109,6 +109,20 @@ class TestInvariants:
         laurent = laurent_coefficients(inv.g2, inv.g3)
         assert laurent[2] == inv.g2 / 20.0
         assert laurent[3] == inv.g3 / 28.0
+
+    @given(g2=st.complex_numbers(max_magnitude=1e6), g3=st.complex_numbers(max_magnitude=1e6))
+    def test_laurent_coefficients_are_the_array_recursion(self, g2, g3):
+        # Python complex, each coefficient divided as numpy divides (Smith's
+        # algorithm with one reciprocal): the values the recursion had on a
+        # numpy array, bit for bit, signed zeros included
+        c = np.zeros(len(laurent_coefficients(g2, g3)), dtype=complex)
+        c[2], c[3] = g2 / 20.0, g3 / 28.0
+        for k in range(4, len(c)):
+            c[k] = 3.0 * sum((c[m] * c[k - m] for m in range(2, k - 1)), 0j) / ((2 * k + 1) * (k - 3))
+        got = laurent_coefficients(g2, g3)
+        assert all(type(x) is complex for x in got)
+        assert [(x.real.hex(), x.imag.hex()) for x in got] \
+            == [(x.real.hex(), x.imag.hex()) for x in c.tolist()]
 
     def test_laurent_recursion_matches_eisenstein(self):
         # c_k = (2k-1) sum' w^(-2k); weight >= 8 brute sums converge quickly
@@ -230,14 +244,56 @@ class TestArrayKernel:
         assert np.isinf(w).sum() == 25 * 2      # t = 0 and t below 1e-14 |a|
         assert not np.isnan(w).any()
 
-    def test_scalar_is_one_point_of_the_array(self):
-        inv = BENCH_INV["skew"]
-        zs = random_cell_points(inv.lattice, 20)
-        for z, wz in zip(zs, inv.wp(zs)):
+    @pytest.mark.parametrize("name", sorted(BENCH_LIKE))
+    def test_scalar_agrees_with_the_array(self, name):
+        # a Python number climbs on Python complex, the array kernel's steps
+        # one point at a time: the same lattice points and points at
+        # infinity, and values that round apart only as the two paths'
+        # complex products do (numpy may fuse their multiply-adds)
+        inv = BENCH_INV[name]
+        lat = inv.lattice
+        shortest = lat.shortest_vector_length()
+        zs = np.concatenate([random_cell_points(lat, 40, seed=13) * 3.0,
+                             [0.0, lat.g1, lat.g1 - 2 * lat.g2, 1e-80,
+                              # either side of the modulus taken for a lattice point
+                              0.5e-14 * shortest, 3e-14 * shortest, lat.g2 + 3e-14j * shortest,
+                              lat.g2 / 2, (lat.g1 + lat.g2) / 2, 1e300, -1e300j,
+                              complex(math.inf, 0.0), complex(math.nan, 1.0)]])
+        with np.errstate(invalid="ignore"):     # the array's inf and nan entries
+            ws = inv.wp(zs)
+        for z, wz in zip(zs, ws):
+            w = inv.wp(complex(z))
+            assert type(w) is complex and w == w        # never nan
+            assert (w == INF) == (wz == INF)
+            if w != INF:
+                assert abs(w - wz) <= wp_rounding_bound(inv, z)
+        for z in (1, 0.25, np.float64(0.25), np.complex128(0.25 + 0.1j)):
             assert type(inv.wp(z)) is complex
-            assert inv.wp(z) == wz
-        assert inv.wp(zs.reshape(4, 5)).shape == (4, 5)
+        assert inv.wp(np.float32(0.25)) == inv.wp(np.array([0.25]))[0]
+        assert inv.wp(zs[:40].reshape(4, 10)).shape == (4, 10)
         assert inv.wp(np.array([], dtype=complex)).shape == (0,)
+
+    @pytest.mark.parametrize("side", [1e-40, 1e-12, 1e12, 1e40])
+    def test_scalar_agrees_with_the_array_far_from_side_1(self, side):
+        # in the frame Lambda / 2^e both paths take the steps they take at
+        # side 1, so the bound is that of the lattice scaled by 2^-e (whose
+        # own Laurent data, unlike those of the lattice, are floats)
+        lat = Lattice(side, side * (0.37 + 1.1j))
+        inv = invariants_from_lattice(lat)
+        s = math.ldexp(1.0, -math.frexp(lat.shortest_vector_length())[1])
+        unit = invariants_from_lattice(Lattice(s * lat.g1, s * lat.g2))
+        zs = random_cell_points(lat, 20, seed=14)
+        for z, wz in zip(zs, inv.wp(zs)):
+            assert abs(inv.wp(complex(z)) - wz) <= wp_rounding_bound(unit, s * z) * s * s
+
+    @pytest.mark.parametrize("e", [-1000, -600, -3, 0, 3, 600, 1000])
+    def test_scale_back_is_numpys_ldexp(self, e):
+        # the scalar path scales wp back by 2^-2e as the array's np.ldexp
+        # does: rounded once, and inf where it overflows
+        parts = [0.0, -5e-324, 1e-310, 0.1, 1.0 - 2 ** -53, -3.0, 1e300, math.inf]
+        with np.errstate(over="ignore"):
+            want = np.ldexp(parts, -2 * e).tolist()
+        assert [_ldexp(x, -2 * e) for x in parts] == want
 
     @given(name=st.sampled_from(sorted(BENCH_LIKE)), k=st.integers(-100, 100),
            xys=st.lists(cell_coordinates, min_size=1, max_size=10))
@@ -300,7 +356,8 @@ class TestArrayKernel:
         zs = np.array([0.0, inv.lattice.g1, 0.3 + 0.2j, 1e-80])
         w = inv.wp(zs)
         assert np.array_equal(w == INF, [True, True, False, True])
-        assert inv.wp(zs[2]) == w[2]
+        assert [inv.wp(z) == INF for z in zs] == [True, True, False, True]
+        assert abs(inv.wp(zs[2]) - w[2]) <= wp_rounding_bound(inv, zs[2])
 
 
 class TestDeepHalving:

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from invarcurves import rational
+from invarcurves.draws import UniformStream
 from invarcurves.rational import (
     _HUGE, DEGREE_CAP, DegreeCapExceeded, Polynomial, RationalMap, RootConvergenceError,
-    UniformStream, chordal,
+    chordal,
     classify_multiplier, coefficient_residual, compose,
     fixed_points, homogeneous_horner, identity_residual, iterate, maps_equal,
     multiplier, poly_divmod, poly_roots, polyder, polyval, pull_back, push_forward,
@@ -214,15 +216,44 @@ class TestEvalArraySphere:
             assert chordal(v, scalar_call(f, z)) <= 16 * np.finfo(float).eps
 
     @given(case=maps_with_exact_poles())
-    def test_call_is_one_point_of_the_array(self, case):
-        # f(z) is eval_array on one point: the same value, bit for bit, at
-        # infinity, at exact poles, at 1e200 and on the outer chart
+    def test_call_agrees_with_the_array_point_by_point(self, case):
+        # f(z) runs eval_array's charts and rule one point at a time on
+        # Python complex: the same points are infinite (infinity, exact
+        # poles, 1e200, overflow), none is nan, and the values round apart
+        # only in the last bits, since numpy may fuse a complex product's
+        # multiply-add and Python does not
         f, zs = case
         values = f.eval_array(zs)
         for z, v in zip(zs, values):
             fz = f(z)
-            assert type(fz) is complex and fz == v
-            assert f(on_sphere(z)) == v
+            assert type(fz) is complex and fz == fz
+            assert (fz == INF) == (v == INF)
+            assert chordal(fz, v) <= 16 * np.finfo(float).eps
+            assert f(on_sphere(z)) == fz
+
+    def test_zero_on_the_outer_chart_with_an_overflowing_power(self):
+        # z^3 (z - 1e100) vanishes at 1e100, where z^4 leaves the floats:
+        # the value is 0, as eval_array gives it, and at 2e100 infinite
+        f = RationalMap([0, 0, 0, -1e100, 1])
+        zs = np.array([1e100, 2e100])
+        assert [f(z) for z in zs] == f.eval_array(zs).tolist() == [0, INF]
+
+
+class TestChordalOnePoint:
+    @given(case=maps_with_exact_poles())
+    def test_agrees_with_the_array(self, case):
+        # embed_points' arithmetic on floats; numpy's complex modulus rounds
+        # apart from the C library's hypot, which Python's abs uses
+        _, zs = case
+        for a, b in [(zs, zs[::-1]), (zs, np.zeros_like(zs)), (zs, np.full_like(zs, INF))]:
+            for x, y, d in zip(a, b, rational.chordal_array(a, b)):
+                assert abs(chordal(x, y) - d) <= 4 * np.finfo(float).eps
+
+    def test_points_at_infinity(self):
+        for z in (INF, complex(np.inf, np.nan), complex(np.nan, 0.0), 1e200,
+                  complex(1e308, 1e308), complex(-np.inf, 1.0)):
+            assert chordal(z, INF) == 0.0 and chordal(z, 0.0) == 2.0
+        assert chordal(1e150, INF) > 0.0
 
 
 class TestClimb:
@@ -496,10 +527,32 @@ class TestFixedPoints:
             fps = fixed_points(RationalMap([0, 2, 1e-320]))
         assert [fp.location for fp in fps] == [0, INF, INF]
         assert fps[0].multiplier == 2 and fps[0].kind == REPELLING
+        # infinity is superattracting; its chart's denominator at 0 is
+        # 5e-321, whose square underflows, so the quotient rule divides twice
+        assert [(fp.multiplier, fp.kind) for fp in fps[1:]] == [(0, SUPERATTRACTING)] * 2
 
-    def test_identity_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_points(RationalMap.identity())
+    def test_derivative_where_the_squared_denominator_leaves_the_floats(self):
+        assert RationalMap([1], [1e-200, 1]).derivative_at(0.0) == -1e200 / 1e-200 / 1e-200
+        assert RationalMap([0, 0, 1], [1e-200, 1], reduce=False).derivative_at(0.0) == 0
+        assert RationalMap([1e300], [1e200, 1]).derivative_at(0.0) == -1e300 / 1e200 / 1e200
+
+    @pytest.mark.parametrize("f", [RationalMap.identity(), RationalMap([0, 2], [2]),
+                                   RationalMap([0, 1 + 1e-16]), RationalMap([0, 1, 1e-16], [1, 1e-16])])
+    def test_identity_rejected(self, f):
+        # p - z q cancels to rounding at every power
+        with pytest.raises(ValueError, match="identity map fixes everything"):
+            fixed_points(f)
+
+    def test_near_identity_has_its_fixed_points(self):
+        # the translation z + 1e-12 is no identity: infinity is its one,
+        # parabolic, fixed point, counted twice
+        fps = fixed_points(RationalMap([1e-12, 1]))
+        assert [(fp.location, fp.multiplier, fp.kind) for fp in fps] \
+            == [(INF, 1, NEUTRAL_RATIONAL)] * 2
+        # z + 1e-12 z^2 fixes 0 parabolically, twice, and infinity
+        fps = fixed_points(RationalMap([0, 1, 1e-12]))
+        assert [(fp.location, fp.kind) for fp in fps] \
+            == [(0, NEUTRAL_RATIONAL)] * 2 + [(INF, SUPERATTRACTING)]
 
 
 class TestCriticalPoints:
@@ -621,3 +674,47 @@ class TestUniformStream:
             np.random.default_rng(seed)
         with pytest.raises(ValueError, match="expected non-negative integer"):
             UniformStream(seed)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 32 + 5])
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 20000])
+    def test_floats_are_the_array_draws(self, seed, n):
+        # one state at a time on Python's integers, against the array's
+        # blocks of states; back-to-back calls continue the same stream
+        arrays, floats = UniformStream(seed), UniformStream(seed)
+        for low, high, size in [(-0.5, 0.5, n), (-0.5, 0.5, n), (0.0, 1.0, 3), (0.05, 1.0, 0)]:
+            got, want = floats.floats(low, high, size), arrays.uniform(low, high, size)
+            assert all(type(x) is float for x in got)
+            assert got == want.tolist(), (low, high, size)
+
+    @given(seed=st.integers(0, 2 ** 256), n=st.integers(0, 300))
+    def test_floats_and_arrays_share_one_stream(self, seed, n):
+        # calls of both kinds, in turn, draw numpy's sequence
+        ref, ours = np.random.default_rng(seed), UniformStream(seed)
+        assert ours.floats(-0.5, 0.5, n) == ref.uniform(-0.5, 0.5, n).tolist()
+        assert np.array_equal(ours.uniform(0.05, 1.0, 7), ref.uniform(0.05, 1.0, 7))
+        assert ours.floats(0.0, 1.0, n) == ref.uniform(size=n).tolist()
+
+
+class TestCertificateDriver:
+    # the chain certificate has the same bits on floats and on arrays (see
+    # test_semiconj.py); it takes the arrays once numpy is loaded
+
+    @pytest.fixture
+    def driver(self, monkeypatch):
+        taken = []
+        monkeypatch.setattr(rational, "_chain_residual",
+                            lambda chains, zs, on_arrays: taken.append(on_arrays) or 0.0)
+        return taken
+
+    def test_arrays_when_numpy_is_loaded(self, driver):
+        f = RationalMap([0, 0, 1])
+        identity_residual(f, f)
+        assert driver == [True]
+
+    def test_floats_below_the_crossover_without_numpy(self, driver, monkeypatch):
+        monkeypatch.delitem(sys.modules, "numpy")
+        f = RationalMap([0, 0, 1])
+        identity_residual(f, f)
+        big = RationalMap(Polynomial.monomial(50))
+        identity_residual(big, big)     # 105 points x 100 steps > ARRAY_WORK
+        assert driver == [False, True]

@@ -108,13 +108,16 @@ class TestCertifyOracle:
 
     def test_floats_and_arrays_agree_on_criterion_8(self):
         # one evaluator, on Python floats point by point and on numpy arrays:
-        # the same +, - and * in the same order, so the same bits
+        # the same +, - and * in the same order, so the same bits.  Below
+        # the crossover a job without numpy certifies on floats, this
+        # process (numpy loaded) on arrays
         for t, residual in criterion_8_certificates():
             chains = ([t.h, t.g], [t.f] * t.n + [t.h])
             zs = rational._sample(chains)
             assert len(zs) * sum(f.degree for chain in chains for f in chain) \
-                <= rational.ARRAY_WORK                   # so it was certified on floats
-            assert residual == rational._chain_residual(chains, zs, True)
+                <= rational.ARRAY_WORK
+            assert residual == rational._chain_residual(chains, zs, True) \
+                == rational._chain_residual(chains, zs, False)
 
     def test_floats_and_arrays_agree_above_the_crossover(self):
         rng = np.random.default_rng(8)

@@ -47,13 +47,14 @@ PUBLIC = {
                "circle_fit", "algebraic_fit", "transcendence_scan",
                "lattice_commensurability", "example1_xy_check"],
     "examples": [],
+    "draws": [],
 }
 
 
 # imports that no job of the tests below needs: numpy.ma comes with
 # np.median, numpy.polynomial loads six series families, fractions is read
 # only by lattice_commensurability, numpy.random (ten extension modules
-# and OpenSSL through secrets) draws a stream rational.UniformStream repeats,
+# and OpenSSL through secrets) draws a stream draws.UniformStream repeats,
 # and dataclasses generates and compiles code for each class it decorates
 AVOIDABLE = ("dataclasses", "fractions", "numpy.ma", "numpy.polynomial", "numpy.random")
 
@@ -101,13 +102,13 @@ def after_job(argv, tmp_path):
     (["semiconj", "--verify", SQUARE_JSON, SQUARE_JSON, SQUARE_JSON, "1"],
      ["cli", "rational", "semiconj"]),
     (["lattes", "--lattice", LATTICE_JSON, "--samples", "64"],
-     ["cli", "elliptic", "lattes", "rational"]),
-    (POINCARE_ARGV, ["cli", "geometry", "poincare", "rational"]),
-    (UNTRACED_ARGV, ["cli", "poincare", "rational"]),
+     ["cli", "draws", "elliptic", "lattes", "rational"]),
+    (POINCARE_ARGV, ["cli", "draws", "geometry", "poincare", "rational"]),
+    (UNTRACED_ARGV, ["cli", "draws", "poincare", "rational"]),
     (["example", "1", "--samples", "256"],
-     ["cli", "curves", "elliptic", "examples", "geometry", "lattes", "rational"]),
+     ["cli", "curves", "draws", "elliptic", "examples", "geometry", "lattes", "rational"]),
     (["example", "2", "--samples", "256"],
-     ["cli", "curves", "elliptic", "examples", "geometry", "lattes", "rational"]),
+     ["cli", "curves", "draws", "elliptic", "examples", "geometry", "lattes", "rational"]),
     (["example", "3", "--samples", "256"],
      ["cli", "examples", "geometry", "rational", "semiconj"]),
 ], ids=["semiconj", "verify", "lattes", "poincare", "untraced", "example1", "example2",
@@ -152,6 +153,25 @@ def test_semiconjugacy_jobs_load_no_numpy(tmp_path):
         print(json.dumps(loaded))
     """) for i, argvs in enumerate(runs)]
     assert [last_line(child) for child in children] == [[[]] * 36, [[]] * 36 + [["numpy"]]]
+
+
+def test_lattes_jobs_load_no_numpy(tmp_path):
+    # every lattes job of a list in one fresh interpreter, the seed-71 and
+    # seed-5 lists side by side: the certificate runs point by point on
+    # Python complex, so no job loads numpy, nor fractions
+    runs = [[argv for argv in benchmark_jobs("lattes_curves", seed) if argv[0] == "lattes"]
+            for seed in (71, 5)]
+    assert [len(argvs) for argvs in runs] == [25, 25]
+    children = [start(f"""
+        import json, sys
+        from invarcurves.cli import main
+        loaded = []
+        for argv in {argvs!r}:
+            assert main(argv + ["--out", {str(tmp_path / f"out{i}")!r}]) == 0
+            loaded.append([name for name in ("numpy", "fractions") if name in sys.modules])
+        print(json.dumps(loaded))
+    """) for i, argvs in enumerate(runs)]
+    assert [last_line(child) for child in children] == [[[]] * 25, [[]] * 25]
 
 
 # the front end: the import, the parser, --help, and the usage checks that
@@ -209,7 +229,7 @@ def test_poincare_job_does_not_import_fractions(tmp_path):
     ["example", "1", "--samples", "256"],
 ], ids=["lattes", "poincare", "example1"])
 def test_seeded_jobs_do_not_import_numpy_random(tmp_path, argv):
-    # rational.UniformStream draws numpy's default_rng stream itself
+    # draws.UniformStream draws numpy's default_rng stream itself
     code, _, _, loaded = after_job(argv, tmp_path)
     assert code == 0
     assert "numpy.random" not in loaded
