@@ -141,8 +141,6 @@ def _json_value(obj):
     if hasattr(obj, "__slots__"):
         return {name: getattr(obj, name) for name in obj.__slots__}
     import numpy as np      # what is left is numpy's, so numpy is loaded
-    if isinstance(obj, np.complexfloating):
-        return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
             obj = np.stack((obj.real, obj.imag), -1)
@@ -269,8 +267,8 @@ def cmd_poincare(args):
         report["trace"] = None
         report["note"] = "multiplier not real: F(R) is not traced"
     import numpy as np
-    zs = F.eval_radius * 8 * rng.uniform(0.05, 1.0, 100) \
-        * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 100))
+    zs = F.eval_radius * 8 * np.array(rng.floats(0.05, 1.0, 100)) \
+        * np.exp(2j * np.pi * np.array(rng.floats(0.0, 1.0, 100)))
     report["functional_equation_residual"] = \
         poincare.functional_equation_residual(F, zs)
     _write(args.out, "report.json", _dump_json(report))

@@ -304,7 +304,7 @@ def example1_xy_check(invariants, offset, seed=0):
     # on L the reflection fixes z, so X and Y reduce to Re(wp), Im(wp)
     on_line = np.linspace(0.025, 0.95, 16) * w1 + 1j * h
     # keep away from the poles so the values stay on the wp scale
-    u = UniformStream(seed).uniform(0.0, 1.0, (100, 2))
+    u = np.array(UniformStream(seed).floats(0.0, 1.0, 200)).reshape(100, 2)
     z0 = ((0.1 + 0.8 * u[:, 0]) * lat.g1 + (0.1 + 0.8 * u[:, 1]) * lat.g2 / 2.0
           + (0.0065 + 0.00355j) * w1)
     zr = 0.37 * w1  # a real-axis point: off L, Y need not be Im(wp)

@@ -1,11 +1,9 @@
 """Seeded uniform draws: np.random.default_rng(seed).uniform, value for
-value, so that a cold job need not import numpy.random.  Apart from
-rational.py, so that the jobs that draw nothing (`semiconj`, `verify`,
-`example 3`) do not compile it; the array draw imports numpy in its own
-body.
+value, so that a job need not import numpy.random.  Apart from rational.py,
+so that the jobs that draw nothing (`semiconj`, `verify`, `example 3`) do
+not compile it.
 """
 
-import math
 import operator
 
 _M32, _M53, _M64, _M128 = 2 ** 32 - 1, 2 ** 53 - 1, 2 ** 64 - 1, 2 ** 128 - 1
@@ -23,23 +21,10 @@ def _seed_hash(const, mult):
     return hashmix
 
 
-def _affine128(hi, lo, a, c):
-    """(a s + c) mod 2**128 for the states s = hi 2**64 + lo of uint64 arrays."""
-    a1, a0, l1, l0 = a >> 32 & _M32, a & _M32, lo >> 32, lo & _M32
-    # the high word of the 128-bit product lo (a mod 2**64), from 32-bit parts
-    p01, p10 = l0 * a1, l1 * a0
-    mid = (l0 * a0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    hi = (l1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-          + lo * (a >> 64) + hi * (a & _M64))
-    lo = lo * (a & _M64) + (c & _M64)
-    return hi + (lo < (c & _M64)) + (c >> 64), lo
-
-
 class UniformStream:
     """The draws of np.random.default_rng(seed).uniform, call after call:
     SeedSequence's mixing of the seed's 32-bit words seeds PCG64 (a 128-bit
-    LCG with XSL-RR output x), and a draw is low + (high - low) (x >> 11) 2**-53.
-    A call builds its states by jumps, s[k + m] = A_m s[k] + C_m mod 2**128."""
+    LCG with XSL-RR output x), and a draw is low + (high - low) (x >> 11) 2**-53."""
 
     _MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -67,31 +52,9 @@ class UniformStream:
         s = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
         self._state = ((self._inc + s) * self._MULT + self._inc) & _M128
 
-    def uniform(self, low, high, size):
-        import numpy as np
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        n = math.prod(shape)
-        out, a, c = np.empty(n), self._MULT, self._inc
-        s = (a * self._state + c) & _M128
-        hi, lo = np.array([s >> 64], dtype=np.uint64), np.array([s & _M64], dtype=np.uint64)
-        # one block of states by doubling, (a, c) stepping by its length; then
-        # a block at a time, in cache
-        while len(hi) < min(n, 8192):
-            hi, lo = map(np.concatenate, zip((hi, lo), _affine128(hi, lo, a, c)))
-            a, c = a * a & _M128, (a * c + c) & _M128
-        for j in range(0, n, len(hi)):
-            if j:
-                hi, lo = _affine128(hi, lo, a, c)
-            k = min(len(hi), n - j)         # the draws this block gives
-            x, rot = hi[:k] ^ lo[:k], hi[:k] >> 58
-            x = x >> rot | x << (64 - rot & 63)
-            out[j:j + k] = low + (high - low) * ((x >> 11) * 2.0 ** -53)
-            self._state = int(hi[k - 1]) << 64 | int(lo[k - 1])
-        return out.reshape(shape)
-
     def floats(self, low, high, n):
-        """The draws of uniform(low, high, n) as a list of Python floats, bit
-        for bit: one state at a time, on Python's integers, without numpy."""
+        """The draws of numpy's uniform(low, high, n) as a list of Python
+        floats, bit for bit: one state at a time, on Python's integers."""
         a, c, s, out = self._MULT, self._inc, self._state, []
         for _ in range(n):
             s = (a * s + c) & _M128

@@ -129,14 +129,9 @@ def polyval(x, c):
 
 
 def polyder(c):
-    """Coefficients of the derivative of a polynomial of degree >= 1: a list
-    for a list, else an array with numpy.polynomial's polyder values (zero
-    parts may differ in sign)."""
-    d = [c[k] * k for k in range(1, len(c))]
-    if isinstance(c, list):
-        return d
-    import numpy as np
-    return np.array(d)
+    """Coefficients of the derivative of a polynomial of degree >= 1, with
+    numpy.polynomial's polyder values (zero parts may differ in sign)."""
+    return [c[k] * k for k in range(1, len(c))]
 
 
 # products of higher degree are numpy's convolution: Python's costs about
@@ -261,17 +256,6 @@ class Polynomial:
             out.append(x * power)
             power *= c
         return Polynomial._of(out)
-
-    def trimmed(self, rtol):
-        """Drop trailing coefficients below rtol * scale (junk from arithmetic)."""
-        if self.is_zero:
-            return self
-        tol = rtol * self.scale
-        c = self.coefficients
-        n = len(c)
-        while n > 1 and abs(c[n - 1]) <= tol:
-            n -= 1
-        return Polynomial(c[:n])
 
     def __repr__(self):
         return f"Polynomial({self.coefficients})"

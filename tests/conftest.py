@@ -49,7 +49,12 @@ def critical_points(f):
         raise ValueError("critical points need degree >= 2")
     # the numerator p'q - pq' of f' = (p/q)'
     p, q = f.num, f.den
-    w = (p.derivative() * q - p * q.derivative()).trimmed(1e-13)
+    w = p.derivative() * q - p * q.derivative()
+    # drop the top coefficients that cancel to 1e-13 of the largest
+    c, tol = w.coefficients, 1e-13 * w.scale
+    while len(c) > 1 and abs(c[-1]) <= tol:
+        c = c[:-1]
+    w = Polynomial(c)
     if w.is_zero:
         raise ValueError("degenerate map: identically critical")
     pts = [complex(r) for r in poly_roots(w)] if w.degree >= 1 else []

@@ -1,8 +1,13 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from invarcurves import cli
 from invarcurves.elliptic import (Lattice, invariants_from_lattice,
                                   square_lattice_with_g2)
 from invarcurves.lattes import lattes_from_invariants, verify_lattes
@@ -49,6 +54,17 @@ class TestCertification:
                      1e3, 1e7, 1e12, 1e30, 1e40):
             system = lattes_from_lattice(Lattice(side, side * 1j))
             assert verify_lattes(system, n_samples=100) <= 1e-12, side
+
+    @settings(max_examples=50)     # about 20 ms a job
+    @given(x=st.floats(-1.0, 1.0), y=st.floats(0.3, 3.0), k=st.integers(-20, 20))
+    def test_lattes_job_certifies_on_lattices_scaled_by_powers_of_two(self, x, y, k):
+        # the lattice spanned by 2^k and 2^k (x + iy), any shape but the square
+        assume(complex(x, y) != 1j)
+        s = math.ldexp(1.0, k)
+        lattice = json.dumps({"g1": [s, 0.0], "g2": [s * x, s * y]})
+        with tempfile.TemporaryDirectory() as out:
+            assert cli.main(["lattes", "--lattice", lattice, "--out", out]) == 0
+            assert json.loads((Path(out) / "report.json").read_text())["certified"]
 
     def test_map_beyond_the_float_range_is_refused(self):
         # at side 1e-40 the coefficient g2^2/16 of f overflows
